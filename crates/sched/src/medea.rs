@@ -1,4 +1,4 @@
-//! Medea-like two-path scheduler [17].
+//! Medea-like two-path scheduler (the paper's reference \[17\]).
 //!
 //! Medea treats long-running containers as first-class: it places them
 //! with an ILP-based optimizer (costly, high-quality) while

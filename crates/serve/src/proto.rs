@@ -16,7 +16,7 @@
 //! * EOF on a length-prefix boundary is a clean close; EOF anywhere
 //!   else is [`FrameError::Truncated`];
 //! * undecodable payloads (unknown tag, short fields, trailing bytes,
-//!   bad UTF-8) are [`FrameError::Malformed`] — an error *reply*, never
+//!   bad UTF-8) are [`ErrCode::Malformed`] — an error *reply*, never
 //!   a panic and never a desync, because the frame boundary was already
 //!   consumed before decoding began.
 

@@ -558,6 +558,90 @@ fn reader_loop(stream: TcpStream, id: u64, tx: mpsc::Sender<(u64, Event)>) {
     let _ = tx.send((id, Event::Closed));
 }
 
+/// Applies a connection-lifecycle event to the connection table —
+/// the same way while the session runs and while it lingers — and
+/// hands a request back for the caller's phase to serve.
+fn connection_event(
+    sess: &mut Session<'_>,
+    conns: &mut HashMap<u64, Conn>,
+    id: u64,
+    event: Event,
+) -> Option<Request> {
+    match event {
+        Event::Open(tx) => {
+            optum_obs::counter!("serve.conns");
+            conns.insert(id, Conn { tx, slot: None });
+        }
+        Event::Closed => {
+            // A closed connection can no longer submit: detach its
+            // slot (the slot itself — cursor, watermark — survives for
+            // a reconnect). Its already-bucketed submissions stay
+            // valid.
+            if let Some(conn) = conns.remove(&id) {
+                if let Some(s) = conn.slot {
+                    if sess.slots[s].attached == Some(id) {
+                        sess.slots[s].attached = None;
+                    }
+                }
+            }
+        }
+        Event::Bad(code, message) => {
+            optum_obs::counter!("serve.protocol_errors");
+            if let Some(conn) = conns.get(&id) {
+                let _ = conn
+                    .tx
+                    .send(Outbound::Reply(Reply::Error { code, message }));
+            }
+        }
+        Event::Req(req) => return Some(req),
+    }
+    None
+}
+
+/// Why a `hello` cannot join this session, if it cannot: its session
+/// tuple `(seed, hosts, days, rate_bits, queue_cap, lease, slots,
+/// slot)` must match the server's configuration and the slot table
+/// the first `hello` fixed. `None` for a hello that may join (and for
+/// any other request, which carries no tuple).
+fn hello_mismatch(cfg: &ServeConfig, sess: &Session<'_>, hello: &Request) -> Option<String> {
+    let &Request::Hello {
+        seed,
+        hosts,
+        days,
+        rate_bits,
+        queue_cap,
+        slot,
+        slots,
+        lease,
+        ..
+    } = hello
+    else {
+        return None;
+    };
+    if seed != cfg.seed
+        || hosts != cfg.hosts as u64
+        || days != cfg.days
+        || rate_bits != cfg.rate.to_bits()
+        || queue_cap != cfg.queue_cap.map(|c| c as u64)
+    {
+        Some(format!(
+            "session mismatch: server is seed={} hosts={} days={} rate={} cap={:?}",
+            cfg.seed, cfg.hosts, cfg.days, cfg.rate, cfg.queue_cap
+        ))
+    } else if lease != cfg.lease_ticks {
+        Some(format!(
+            "lease mismatch: server lease is {:?}",
+            cfg.lease_ticks
+        ))
+    } else if slots == 0 || slots > MAX_SLOTS || slot >= slots {
+        Some(format!("invalid slot {slot} of {slots} (max {MAX_SLOTS})"))
+    } else if sess.started() && sess.nslots() as u64 != slots {
+        Some(format!("slot table fixed at {} slots", sess.nslots()))
+    } else {
+        None
+    }
+}
+
 /// The deterministic core: single-threaded over one event queue.
 fn engine_loop(
     cfg: &ServeConfig,
@@ -581,36 +665,9 @@ fn engine_loop(
         match rx.recv_timeout(IDLE_POLL) {
             Ok((id, event)) => {
                 idle_polls = 0;
-                match event {
-                    Event::Open(tx) => {
-                        optum_obs::counter!("serve.conns");
-                        conns.insert(id, Conn { tx, slot: None });
-                    }
-                    Event::Closed => {
-                        // A closed connection can no longer submit:
-                        // detach its slot (the slot itself — cursor,
-                        // watermark — survives for a reconnect). Its
-                        // already-bucketed submissions stay valid.
-                        if let Some(conn) = conns.remove(&id) {
-                            if let Some(s) = conn.slot {
-                                if sess.slots[s].attached == Some(id) {
-                                    sess.slots[s].attached = None;
-                                }
-                            }
-                        }
-                    }
-                    Event::Bad(code, message) => {
-                        optum_obs::counter!("serve.protocol_errors");
-                        if let Some(conn) = conns.get(&id) {
-                            let _ = conn
-                                .tx
-                                .send(Outbound::Reply(Reply::Error { code, message }));
-                        }
-                    }
-                    Event::Req(req) => {
-                        let engine = sim.as_mut().expect("engine live while accepting requests");
-                        handle_request(cfg, engine, &mut sess, &mut conns, id, req, &mut buckets);
-                    }
+                if let Some(req) = connection_event(&mut sess, &mut conns, id, event) {
+                    let engine = sim.as_mut().expect("engine live while accepting requests");
+                    handle_request(cfg, engine, &mut sess, &mut conns, id, req, &mut buckets);
                 }
             }
             Err(mpsc::RecvTimeoutError::Timeout) => idle_polls = idle_polls.saturating_add(1),
@@ -712,29 +769,10 @@ fn linger_for_acks(
         match rx.recv_timeout(IDLE_POLL) {
             Ok((id, event)) => {
                 idle = 0;
-                match event {
-                    Event::Open(tx) => {
-                        conns.insert(id, Conn { tx, slot: None });
-                    }
-                    Event::Closed => {
-                        if let Some(conn) = conns.remove(&id) {
-                            if let Some(s) = conn.slot {
-                                if sess.slots[s].attached == Some(id) {
-                                    sess.slots[s].attached = None;
-                                }
-                            }
-                        }
-                    }
-                    Event::Bad(code, message) => {
-                        if let Some(conn) = conns.get(&id) {
-                            let _ = conn
-                                .tx
-                                .send(Outbound::Reply(Reply::Error { code, message }));
-                        }
-                    }
-                    Event::Req(req) => linger_request(
+                if let Some(req) = connection_event(sess, conns, id, event) {
+                    linger_request(
                         cfg, sess, conns, &mut acked, id, req, &summary, end_tick, next_pod,
-                    ),
+                    );
                 }
             }
             Err(mpsc::RecvTimeoutError::Timeout) => idle += 1,
@@ -769,27 +807,10 @@ fn linger_request(
         return;
     };
     match req {
-        Request::Hello {
-            seed,
-            hosts,
-            days,
-            rate_bits,
-            queue_cap,
-            slot,
-            slots,
-            lease,
-            ..
-        } => {
-            if seed != cfg.seed
-                || hosts != cfg.hosts as u64
-                || days != cfg.days
-                || rate_bits != cfg.rate.to_bits()
-                || queue_cap != cfg.queue_cap.map(|c| c as u64)
-                || lease != cfg.lease_ticks
-                || !sess.started()
-                || slots != sess.nslots() as u64
-                || slot >= slots
-            {
+        ref hello @ Request::Hello { slot, .. } => {
+            // The slot table is fixed by now (the session completed),
+            // so any tuple the live session would refuse is refused.
+            if !sess.started() || hello_mismatch(cfg, sess, hello).is_some() {
                 let _ = tx.send(Outbound::Reply(Reply::Error {
                     code: ErrCode::BadHandshake,
                     message: "hello does not match the completed session".into(),
@@ -996,48 +1017,12 @@ fn handle_request(
         return;
     };
     let reply = match req {
-        Request::Hello {
-            client: _,
-            seed,
-            hosts,
-            days,
-            rate_bits,
-            queue_cap,
-            slot,
-            slots,
-            lease,
-        } => {
+        ref hello @ Request::Hello { slot, slots, .. } => {
             let bound = conns.get(&conn_id).and_then(|c| c.slot);
             if bound.is_some() {
                 some_error(ErrCode::BadHandshake, "hello repeated".into())
-            } else if seed != cfg.seed
-                || hosts != cfg.hosts as u64
-                || days != cfg.days
-                || rate_bits != cfg.rate.to_bits()
-                || queue_cap != cfg.queue_cap.map(|c| c as u64)
-            {
-                some_error(
-                    ErrCode::BadHandshake,
-                    format!(
-                        "session mismatch: server is seed={} hosts={} days={} rate={} cap={:?}",
-                        cfg.seed, cfg.hosts, cfg.days, cfg.rate, cfg.queue_cap
-                    ),
-                )
-            } else if lease != cfg.lease_ticks {
-                some_error(
-                    ErrCode::BadHandshake,
-                    format!("lease mismatch: server lease is {:?}", cfg.lease_ticks),
-                )
-            } else if slots == 0 || slots > MAX_SLOTS || slot >= slots {
-                some_error(
-                    ErrCode::BadHandshake,
-                    format!("invalid slot {slot} of {slots} (max {MAX_SLOTS})"),
-                )
-            } else if sess.started() && sess.nslots() as u64 != slots {
-                some_error(
-                    ErrCode::BadHandshake,
-                    format!("slot table fixed at {} slots", sess.nslots()),
-                )
+            } else if let Some(message) = hello_mismatch(cfg, sess, hello) {
+                some_error(ErrCode::BadHandshake, message)
             } else {
                 if !sess.started() {
                     sess.init(slots as usize, sim.next_arrival_index());

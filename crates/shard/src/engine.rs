@@ -7,8 +7,9 @@
 //! same phase sequence:
 //!
 //! 1. **Admission** (coordinator, serial): throttle release, arrivals,
-//!    queue-cap shedding — the exact ledger semantics of the legacy
-//!    engine's bounded queue (net `admitted`, BE high-water throttle).
+//!    queue-cap shedding — [`optum_sim::Admission`], the same
+//!    controller the legacy engine runs (net `admitted`, BE high-water
+//!    throttle).
 //! 2. **Shard step** (parallel over the `optum-parallel` pool): each
 //!    shard pops due completions, applies due faults, and scores its
 //!    slice of every request's global candidate set.
@@ -29,12 +30,14 @@
 //! O(1) (see [`ScaleResult::skipped_ticks`]).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use parking_lot::Mutex;
 
 use optum_chaos::route_plan;
 use optum_parallel::parallel_map_threads;
+use optum_sim::checkpoint::{fnv1a_fold, FNV1A_INIT};
+use optum_sim::{Admission, Admit, ClassOverload};
 use optum_trace::ScalePod;
 use optum_types::{sort_fault_plan, FaultEvent, FaultKind, NodeId, ShardLayout, SloClass};
 
@@ -50,13 +53,12 @@ pub const NEVER: u64 = u64::MAX;
 /// Sentinel for "no node".
 pub const NO_NODE: u32 = u32::MAX;
 
-/// Pod run-state codes (coordinator-side).
-const PS_UNBORN: u8 = 0;
-const PS_QUEUED: u8 = 1;
-const PS_THROTTLED: u8 = 2;
-const PS_RUNNING: u8 = 3;
-const PS_DONE: u8 = 4;
-const PS_SHED: u8 = 5;
+/// Pod run-state codes (coordinator-side). Whether a waiting pod is
+/// queued or throttled is the admission controller's knowledge.
+const PS_WAITING: u8 = 0;
+const PS_RUNNING: u8 = 1;
+const PS_DONE: u8 = 2;
+const PS_SHED: u8 = 3;
 
 /// Configuration of a sharded scale run.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,23 +135,6 @@ impl Default for ScaleOutcome {
     }
 }
 
-/// Per-class admission ledger (net semantics, mirroring the legacy
-/// engine: `admitted + shed + throttled_end == arrivals`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClassLedger {
-    /// Pods of this class that reached admission.
-    pub arrivals: u64,
-    /// Pods currently accounted admitted (entered the queue, not
-    /// subsequently shed).
-    pub admitted: u64,
-    /// Pods dropped by class-aware load shedding.
-    pub shed: u64,
-    /// Throttle-buffer releases (each is also counted in `admitted`).
-    pub requeued: u64,
-    /// Pods still parked in the throttle buffer at window end.
-    pub throttled_end: u64,
-}
-
 /// One cluster series sample (folded from per-slab sums in global
 /// slab order — bit-identical across shard and thread counts).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -172,7 +157,7 @@ pub struct ScaleSample {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScaleResult {
     /// Per-class admission ledgers, indexed in [`SloClass::ALL`] order.
-    pub per_class: [ClassLedger; 6],
+    pub per_class: [ClassOverload; SloClass::ALL.len()],
     /// Per-pod records (indexed by pod id).
     pub outcomes: Vec<ScaleOutcome>,
     /// Cluster series.
@@ -193,41 +178,34 @@ pub struct ScaleResult {
     pub end_tick: u64,
 }
 
-fn fnv_u64(h: u64, v: u64) -> u64 {
-    let mut h = h;
-    for b in v.to_le_bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl ScaleResult {
     /// FNV-1a digest over every outcome, ledger and series sample —
     /// two runs are byte-equivalent iff their digests match (used by
     /// the golden figure to pin cross-shard identity visibly).
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = FNV1A_INIT;
+        let mut put = |word: u64| h = fnv1a_fold(h, &word.to_le_bytes());
         for o in &self.outcomes {
-            h = fnv_u64(h, o.placed_at);
-            h = fnv_u64(h, o.node as u64);
-            h = fnv_u64(h, o.completed_at);
-            h = fnv_u64(h, o.shed_at);
-            h = fnv_u64(h, o.evictions as u64);
+            put(o.placed_at);
+            put(o.node as u64);
+            put(o.completed_at);
+            put(o.shed_at);
+            put(o.evictions as u64);
         }
         for c in &self.per_class {
-            h = fnv_u64(h, c.arrivals);
-            h = fnv_u64(h, c.admitted);
-            h = fnv_u64(h, c.shed);
-            h = fnv_u64(h, c.requeued);
-            h = fnv_u64(h, c.throttled_end);
+            put(c.arrivals);
+            put(c.admitted);
+            put(c.shed);
+            put(c.requeued);
+            put(c.throttled_end);
         }
         for s in &self.series {
-            h = fnv_u64(h, s.tick);
-            h = fnv_u64(h, s.cpu_util.to_bits());
-            h = fnv_u64(h, s.mem_util.to_bits());
-            h = fnv_u64(h, s.pending);
-            h = fnv_u64(h, s.running);
-            h = fnv_u64(h, s.unavailable);
+            put(s.tick);
+            put(s.cpu_util.to_bits());
+            put(s.mem_util.to_bits());
+            put(s.pending);
+            put(s.running);
+            put(s.unavailable);
         }
         h
     }
@@ -235,9 +213,7 @@ impl ScaleResult {
     /// Per-class conservation: every arrival ends in exactly one of
     /// admitted / shed / still-throttled.
     pub fn conservation_holds(&self) -> bool {
-        self.per_class
-            .iter()
-            .all(|c| c.admitted + c.shed + c.throttled_end == c.arrivals)
+        self.per_class.iter().all(ClassOverload::conserved)
     }
 }
 
@@ -374,15 +350,13 @@ impl ShardState {
     }
 }
 
-fn class_idx(c: SloClass) -> usize {
-    SloClass::ALL
-        .iter()
-        .position(|&x| x == c)
-        .expect("every class is in ALL")
-}
-
-fn high_water(cap: usize) -> usize {
-    (cap / 4 * 3).max(1)
+/// The admission controller's view of a scale pod: its
+/// `(class, arrival tick)`.
+fn pod_meta(pods: &[ScalePod]) -> impl Fn(u32) -> (SloClass, u64) + '_ {
+    |id| {
+        let p = &pods[id as usize];
+        (p.class, p.arrival)
+    }
 }
 
 /// The sharded scale engine (see module docs for the tick phases).
@@ -391,12 +365,9 @@ pub struct ScaleEngine<'p> {
     layout: ShardLayout,
     pods: &'p [ScalePod],
     cells: Vec<Mutex<ShardState>>,
-    pending: Vec<u32>,
-    pending_sorted: bool,
-    throttled: VecDeque<u32>,
+    admission: Admission<u32>,
     pod_state: Vec<u8>,
     outcomes: Vec<ScaleOutcome>,
-    ledger: [ClassLedger; 6],
     next_arrival: usize,
     running: u64,
     placements: u64,
@@ -428,12 +399,9 @@ impl<'p> ScaleEngine<'p> {
             layout,
             cells,
             pods,
-            pending: Vec::new(),
-            pending_sorted: true,
-            throttled: VecDeque::new(),
-            pod_state: vec![PS_UNBORN; n],
+            admission: Admission::new(cfg.queue_cap),
+            pod_state: vec![PS_WAITING; n],
             outcomes: vec![ScaleOutcome::default(); n],
-            ledger: [ClassLedger::default(); 6],
             next_arrival: 0,
             running: 0,
             placements: 0,
@@ -474,12 +442,28 @@ impl<'p> ScaleEngine<'p> {
 
     fn step_tick(&mut self, t: u64) -> bool {
         let _tick = optum_obs::span!("shard.tick");
-        self.release_throttled();
-        self.admit(t);
-        self.enforce_cap(t);
-        self.sort_pending();
-        let b = self.cfg.schedule_budget_per_tick.min(self.pending.len());
-        let round: Vec<u32> = self.pending[..b].to_vec();
+        let meta = pod_meta(self.pods);
+        self.admission.release_throttled(&meta);
+        while let Some(p) = self.pods.get(self.next_arrival) {
+            if p.arrival > t {
+                break;
+            }
+            if self.admission.admit(self.next_arrival as u32, &meta) == Admit::Throttled {
+                optum_obs::counter!("shard.throttled");
+            }
+            self.next_arrival += 1;
+        }
+        self.admission.settle(&meta);
+        while let Some(pod) = self.admission.next_shed() {
+            self.outcomes[pod as usize].shed_at = t;
+            self.pod_state[pod as usize] = PS_SHED;
+            optum_obs::counter!("shard.shed");
+        }
+        if self.cfg.queue_cap.is_some() {
+            self.admission.record_peaks();
+        }
+        let queue = self.admission.sorted(&meta);
+        let round: Vec<u32> = queue[..self.cfg.schedule_budget_per_tick.min(queue.len())].to_vec();
         let requests: Vec<Request> = round.iter().map(|&p| self.make_request(p, t)).collect();
 
         let params = self.cfg.score;
@@ -512,11 +496,10 @@ impl<'p> ScaleEngine<'p> {
             }
             for &pod in &ob.evictions {
                 self.outcomes[pod as usize].evictions += 1;
-                self.pod_state[pod as usize] = PS_QUEUED;
+                self.pod_state[pod as usize] = PS_WAITING;
                 self.running -= 1;
                 self.evictions_n += 1;
-                self.pending.push(pod);
-                self.pending_sorted = false;
+                self.admission.push(pod, &meta);
                 requeued += 1;
                 optum_obs::counter!("shard.requeues");
             }
@@ -566,105 +549,17 @@ impl<'p> ScaleEngine<'p> {
         }
         if placed > 0 {
             let ps = &self.pod_state;
-            self.pending.retain(|&p| ps[p as usize] == PS_QUEUED);
+            self.admission
+                .remove_placed(|p| ps[p as usize] == PS_RUNNING, &meta);
         }
         self.maybe_sample(t);
 
         // Progress: retry next tick only when this round changed the
         // queue or a throttle release is possible; otherwise park
         // until the next arrival/completion/fault.
-        let high_release = match self.cfg.queue_cap {
-            Some(c) if c > 0 => !self.throttled.is_empty() && self.pending.len() < high_water(c),
-            _ => false,
-        };
-        (placed > 0 && !self.pending.is_empty()) || requeued > 0 || high_release
-    }
-
-    fn release_throttled(&mut self) {
-        let Some(cap) = self.cfg.queue_cap else {
-            return;
-        };
-        if cap == 0 {
-            return;
-        }
-        let high = high_water(cap);
-        while !self.throttled.is_empty() && self.pending.len() < high {
-            let pod = self.throttled.pop_front().expect("non-empty");
-            self.push_pending(pod);
-            let ci = class_idx(self.pods[pod as usize].class);
-            self.ledger[ci].admitted += 1;
-            self.ledger[ci].requeued += 1;
-        }
-    }
-
-    fn admit(&mut self, t: u64) {
-        while let Some(p) = self.pods.get(self.next_arrival) {
-            if p.arrival > t {
-                break;
-            }
-            let pod = self.next_arrival as u32;
-            self.next_arrival += 1;
-            let ci = class_idx(p.class);
-            self.ledger[ci].arrivals += 1;
-            match self.cfg.queue_cap {
-                // Degenerate cap: nothing is ever admitted.
-                Some(0) => self.shed(pod, t),
-                Some(c) if p.class == SloClass::Be && self.pending.len() >= high_water(c) => {
-                    self.throttled.push_back(pod);
-                    self.pod_state[pod as usize] = PS_THROTTLED;
-                    optum_obs::counter!("shard.throttled");
-                }
-                _ => {
-                    self.push_pending(pod);
-                    self.ledger[ci].admitted += 1;
-                }
-            }
-        }
-    }
-
-    fn enforce_cap(&mut self, t: u64) {
-        let Some(cap) = self.cfg.queue_cap else {
-            return;
-        };
-        if self.pending.len() <= cap {
-            return;
-        }
-        self.sort_pending();
-        while self.pending.len() > cap {
-            let pod = self.pending.pop().expect("len > cap >= 0");
-            let ci = class_idx(self.pods[pod as usize].class);
-            // Shed pods were admitted; the ledger is net.
-            self.ledger[ci].admitted -= 1;
-            self.shed(pod, t);
-        }
-    }
-
-    fn shed(&mut self, pod: u32, t: u64) {
-        self.outcomes[pod as usize].shed_at = t;
-        self.pod_state[pod as usize] = PS_SHED;
-        let ci = class_idx(self.pods[pod as usize].class);
-        self.ledger[ci].shed += 1;
-        optum_obs::counter!("shard.shed");
-    }
-
-    fn push_pending(&mut self, pod: u32) {
-        self.pending.push(pod);
-        self.pod_state[pod as usize] = PS_QUEUED;
-        self.pending_sorted = false;
-    }
-
-    /// Canonical queue order: highest SLO priority first, FIFO within
-    /// a class, pod id as total tie-break.
-    fn sort_pending(&mut self) {
-        if self.pending_sorted {
-            return;
-        }
-        let pods = self.pods;
-        self.pending.sort_by_key(|&p| {
-            let sp = &pods[p as usize];
-            (Reverse(sp.class.priority()), sp.arrival, p)
-        });
-        self.pending_sorted = true;
+        (placed > 0 && !self.admission.pending().is_empty())
+            || requeued > 0
+            || self.admission.release_due()
     }
 
     /// Draws the pod's global candidate set for this tick: a pure
@@ -715,19 +610,16 @@ impl<'p> ScaleEngine<'p> {
             } else {
                 0.0
             },
-            pending: self.pending.len() as u64,
+            pending: self.admission.pending().len() as u64,
             running: self.running,
             unavailable,
         });
     }
 
     fn finalize(mut self, end: u64, active: u64) -> ScaleResult {
-        for &pod in &self.throttled {
-            let ci = class_idx(self.pods[pod as usize].class);
-            self.ledger[ci].throttled_end += 1;
-        }
+        self.admission.close();
         ScaleResult {
-            per_class: self.ledger,
+            per_class: self.admission.stats().per_class,
             outcomes: self.outcomes,
             series: self.series,
             placements: self.placements,
@@ -837,7 +729,7 @@ mod tests {
         let mut cfg = ScaleSimConfig::new(2, 2, TICKS_PER_DAY);
         cfg.queue_cap = Some(20);
         let r = ScaleEngine::new(&pods, cfg).run();
-        let be = r.per_class[class_idx(SloClass::Be)];
+        let be = r.per_class[SloClass::Be.index()];
         assert!(
             be.shed > 0 || be.throttled_end > 0,
             "two hosts must overload"

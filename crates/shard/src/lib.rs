@@ -40,20 +40,13 @@
 //! arrival, a completion, a fault, or a pending queue that made
 //! progress last round. All other ticks are skipped in O(1), which is
 //! what makes the 100k-host arm of `repro scale` tractable.
-//!
-//! The single-shard configuration of the legacy experiments delegates
-//! to `optum-sim` unchanged (see [`dispatch`]), so every golden figure
-//! stays byte-identical.
 
-pub mod dispatch;
 pub mod engine;
 pub mod exchange;
 pub mod sched;
 pub mod soa;
 
-pub use engine::{
-    ClassLedger, ScaleEngine, ScaleOutcome, ScaleResult, ScaleSample, ScaleSimConfig,
-};
+pub use engine::{ScaleEngine, ScaleOutcome, ScaleResult, ScaleSample, ScaleSimConfig};
 pub use exchange::{delivery_order, Proposal};
 pub use sched::{score_candidate, ScoreParams};
 pub use soa::NodeTable;

@@ -40,14 +40,23 @@ pub const SNAP_MAGIC: [u8; 8] = *b"OPTSNP\x00\x01";
 /// `disconnected` counter in the overload ledger.
 pub const SNAP_VERSION: u64 = 4;
 
-/// FNV-1a over a byte stream (the trailer checksum).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a offset basis: the hash of the empty stream.
+pub const FNV1A_INIT: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the running FNV-1a hash `h` (start from
+/// [`FNV1A_INIT`]). The one byte hash of the workspace: the snapshot
+/// trailer checksum and the scale engine's result digest both run on
+/// it.
+pub fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// FNV-1a over a byte stream (the trailer checksum).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_fold(FNV1A_INIT, bytes)
 }
 
 /// Order-sensitive fingerprint accumulator over `u64` words, used to
@@ -510,5 +519,13 @@ mod tests {
         b.fold(2);
         b.fold(1);
         assert_ne!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors_however_it_is_fed() {
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        let foo = fnv1a_fold(FNV1A_INIT, b"foo");
+        assert_eq!(fnv1a_fold(foo, b"bar"), fnv1a(b"foobar"));
     }
 }

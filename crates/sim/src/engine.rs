@@ -8,6 +8,7 @@ use optum_types::{
 
 use optum_trace::{hash_noise, AppProfile, PsiShape, TickTerms, Workload};
 
+use crate::admission::{Admission, Admit};
 use crate::appstats::AppStatsStore;
 use crate::checkpoint::{self, Fingerprint, SnapReader, SnapWriter, SNAP_VERSION};
 use crate::config::SimConfig;
@@ -133,21 +134,9 @@ pub struct Simulator<'w, S: Scheduler> {
     config: SimConfig,
     nodes: Vec<NodeRuntime>,
     apps: AppStatsStore,
-    pending: Vec<PodId>,
-    /// Whether `pending` is currently sorted by the SLO-priority key.
-    /// Pushes that keep the key order preserve the flag, so quiet
-    /// ticks (and storm ticks whose arrivals happen to land in order)
-    /// skip the per-round re-sort entirely; the sort key is total
-    /// (pod id tiebreak), so sorting only when dirty yields exactly
-    /// the order the previous unconditional re-sort produced.
-    pending_sorted: bool,
-    /// BE pods deferred by admission backpressure (queue depth over
-    /// the high-water mark), in arrival order, awaiting release.
-    throttled: std::collections::VecDeque<PodId>,
-    /// Pending-queue depth per SLO class (in [`SloClass::ALL`] order),
-    /// maintained incrementally for the overload max-depth stats.
-    class_depth: [u64; SloClass::ALL.len()],
-    overload: OverloadStats,
+    /// Pending queue, BE throttle buffer and per-class ledger — the
+    /// admission controller shared with the sharded engine.
+    admission: Admission<PodId>,
     running: Vec<Option<RunningState>>,
     /// Remaining work of preempted BE pods awaiting re-placement.
     suspended_work: Vec<Option<f64>>,
@@ -272,6 +261,15 @@ const _: fn() = || {
     assert_send::<SimResult>();
 };
 
+/// The admission controller's view of a trace pod: its
+/// `(class, arrival tick)`.
+fn pod_meta(workload: &Workload) -> impl Fn(PodId) -> (SloClass, u64) + '_ {
+    |id| {
+        let spec = &workload.pods[id.index()].spec;
+        (spec.slo, spec.arrival.0)
+    }
+}
+
 impl<'w, S: Scheduler> Simulator<'w, S> {
     /// Builds a simulator over a workload.
     pub fn new(workload: &'w Workload, scheduler: S, mut config: SimConfig) -> Result<Self> {
@@ -384,14 +382,10 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
         Ok(Simulator {
             workload,
             scheduler,
+            admission: Admission::new(config.queue_cap),
             config,
             nodes,
             apps: AppStatsStore::new(n_apps),
-            pending: Vec::new(),
-            pending_sorted: true,
-            throttled: std::collections::VecDeque::new(),
-            class_depth: [0; SloClass::ALL.len()],
-            overload: OverloadStats::default(),
             running: vec![None; n_pods],
             suspended_work: vec![None; n_pods],
             outcomes,
@@ -596,7 +590,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
 
     /// Pods waiting in the pending queue.
     pub fn pending_depth(&self) -> usize {
-        self.pending.len()
+        self.admission.pending().len()
     }
 
     /// Pods currently placed and running.
@@ -606,7 +600,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
 
     /// The admission/overload ledger accumulated so far.
     pub fn overload_stats(&self) -> &OverloadStats {
-        &self.overload
+        self.admission.stats()
     }
 
     /// The outcome record of one pod (identity fields are always
@@ -654,7 +648,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
             pod_series: self.pod_series,
             violations: self.violations,
             churn: self.churn,
-            overload: self.overload,
+            overload: std::mem::take(self.admission.stats_mut()),
             predictor_errors: self.eval_errors,
             training,
             node_snapshot: self.node_snapshot,
@@ -693,53 +687,15 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
             .collect()
     }
 
-    /// Position of an SLO class in the [`SloClass::ALL`] order (the
-    /// layout of `class_depth` and [`OverloadStats::per_class`]).
-    fn class_idx(slo: SloClass) -> usize {
-        SloClass::ALL.iter().position(|&c| c == slo).unwrap_or(0)
+    /// Pushes a pod the scheduling round did not place back onto the
+    /// pending queue.
+    fn requeue(&mut self, pid: PodId) {
+        self.admission.push(pid, pod_meta(self.workload));
     }
 
-    /// BE-throttle threshold: 3/4 of the queue cap, at least one.
-    fn high_water(cap: usize) -> usize {
-        (cap / 4 * 3).max(1)
-    }
-
-    /// Pending-queue sort key: highest SLO priority first, FIFO within
-    /// a class, pod id as a total tiebreak (total order, so a lazy
-    /// re-sort reproduces the eager per-round sort bit-identically).
-    fn queue_key(&self, id: PodId) -> (std::cmp::Reverse<u8>, Tick, PodId) {
-        let spec = &self.workload.pods[id.index()].spec;
-        (std::cmp::Reverse(spec.slo.priority()), spec.arrival, id)
-    }
-
-    /// Pushes onto the pending queue, clearing the sorted flag only
-    /// when the push actually breaks the key order.
-    fn queue_push(&mut self, pid: PodId) {
-        if self.pending_sorted {
-            if let Some(&last) = self.pending.last() {
-                if self.queue_key(pid) < self.queue_key(last) {
-                    self.pending_sorted = false;
-                }
-            }
-        }
-        self.pending.push(pid);
-    }
-
-    /// Re-sorts the pending queue if (and only if) it is dirty.
-    fn ensure_sorted(&mut self) {
-        if self.pending_sorted {
-            return;
-        }
-        let workload = self.workload;
-        self.pending.sort_by_key(|&id| {
-            let spec = &workload.pods[id.index()].spec;
-            (std::cmp::Reverse(spec.slo.priority()), spec.arrival, id)
-        });
-        self.pending_sorted = true;
-    }
-
-    /// Sheds a pod (at arrival or from the queue): records the shed
-    /// tick and a censored waiting time, and settles the recovery
+    /// Engine-side bookkeeping of a shed the admission controller
+    /// decided (at arrival or from the queue): records the shed tick
+    /// and a censored waiting time, and settles the recovery
     /// bookkeeping a pending eviction would otherwise leave dangling.
     fn shed_pod(&mut self, pid: PodId, t: Tick) {
         let ev = self.evicted_at[pid.index()].take();
@@ -757,108 +713,48 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
             self.fault_evicted[pid.index()] = false;
             self.churn.class_mut(slo).failed += 1;
         }
-        self.overload.class_mut(slo).shed += 1;
         if self.events_enabled {
             self.ev_shed.push(pid);
         }
         optum_obs::counter!("sim.shed");
     }
 
-    /// Enforces the queue cap by shedding from the sorted back of the
-    /// queue: lowest SLO priority first, newest arrival first within a
-    /// class — an LSR pod is never shed while any BE pod is queued.
-    fn enforce_queue_cap(&mut self, t: Tick) {
-        let Some(cap) = self.config.queue_cap else {
-            return;
-        };
-        if self.pending.len() <= cap {
-            return;
-        }
-        self.ensure_sorted();
-        while self.pending.len() > cap {
-            let pid = self.pending.pop().expect("len > cap >= 0");
-            let slo = self.outcomes[pid.index()].slo;
-            self.class_depth[Self::class_idx(slo)] -= 1;
-            // Shed pods were admitted; the admission ledger is net.
-            self.overload.class_mut(slo).admitted -= 1;
-            self.shed_pod(pid, t);
-        }
-    }
-
-    /// Backpressure release: readmits throttled BE pods (oldest first)
-    /// while the queue sits below the high-water mark.
-    fn release_throttled(&mut self) {
-        if let Some(cap) = self.config.queue_cap {
-            if cap > 0 {
-                let high = Self::high_water(cap);
-                while !self.throttled.is_empty() && self.pending.len() < high {
-                    let pid = self.throttled.pop_front().expect("non-empty");
-                    self.queue_push(pid);
-                    let slo = self.outcomes[pid.index()].slo;
-                    self.class_depth[Self::class_idx(slo)] += 1;
-                    let c = self.overload.class_mut(slo);
-                    c.admitted += 1;
-                    c.requeued += 1;
-                }
-            }
-        }
-    }
-
     /// Admits the pod at the trace cursor (advancing it) through the
-    /// admission controller: shed on a degenerate cap, throttled for BE
-    /// over the high-water mark, queued otherwise.
-    fn admit_pod(&mut self, t: Tick, be: &mut usize, ls: &mut usize) {
-        let pod = &self.workload.pods[self.next_arrival];
-        let pid = pod.spec.id;
-        let slo = pod.spec.slo;
-        match slo {
+    /// admission controller.
+    fn admit_pod(&mut self, be: &mut usize, ls: &mut usize) {
+        let spec = &self.workload.pods[self.next_arrival].spec;
+        match spec.slo {
             SloClass::Be => *be += 1,
             SloClass::Ls | SloClass::Lsr => *ls += 1,
             _ => {}
         }
         self.next_arrival += 1;
-        self.overload.class_mut(slo).arrivals += 1;
-        match self.config.queue_cap {
-            // Degenerate cap: nothing is ever admitted.
-            Some(0) => self.shed_pod(pid, t),
-            Some(c) if slo == SloClass::Be && self.pending.len() >= Self::high_water(c) => {
-                self.throttled.push_back(pid);
-                optum_obs::counter!("sim.throttled");
-            }
-            _ => {
-                self.queue_push(pid);
-                self.class_depth[Self::class_idx(slo)] += 1;
-                self.overload.class_mut(slo).admitted += 1;
-            }
+        if self.admission.admit(spec.id, pod_meta(self.workload)) == Admit::Throttled {
+            optum_obs::counter!("sim.throttled");
         }
     }
 
-    /// Post-admission settlement: enforces the queue cap and records
-    /// depth peaks, observed once per tick after admission settles
-    /// (transient mid-round depths are not meaningful).
+    /// Post-admission settlement: the controller enforces the queue
+    /// cap, the engine books the pods it shed this tick, and depth
+    /// peaks are observed (once per tick, after admission settles).
     fn settle_admission(&mut self, t: Tick) {
-        self.enforce_queue_cap(t);
+        self.admission.settle(pod_meta(self.workload));
+        while let Some(pid) = self.admission.next_shed() {
+            self.shed_pod(pid, t);
+        }
         if self.config.queue_cap.is_some() || self.config.decision_cost_budget.is_some() {
-            for (i, &d) in self.class_depth.iter().enumerate() {
-                let c = &mut self.overload.per_class[i];
-                c.max_depth = c.max_depth.max(d);
-            }
-            self.overload.max_depth = self.overload.max_depth.max(self.pending.len() as u64);
-            self.overload.throttled_peak = self
-                .overload
-                .throttled_peak
-                .max(self.throttled.len() as u64);
+            self.admission.record_peaks();
         }
     }
 
     fn admit_arrivals(&mut self, t: Tick) -> (usize, usize) {
         let mut be = 0;
         let mut ls = 0;
-        self.release_throttled();
+        self.admission.release_throttled(pod_meta(self.workload));
         while self.next_arrival < self.workload.pods.len()
             && self.workload.pods[self.next_arrival].spec.arrival <= t
         {
-            self.admit_pod(t, &mut be, &mut ls);
+            self.admit_pod(&mut be, &mut ls);
         }
         self.settle_admission(t);
         (be, ls)
@@ -873,7 +769,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
     fn admit_entries(&mut self, t: Tick, inbox: &[SubmitEntry]) -> Result<(usize, usize)> {
         let mut be = 0;
         let mut ls = 0;
-        self.release_throttled();
+        self.admission.release_throttled(pod_meta(self.workload));
         for &entry in inbox {
             let pid = entry.pod();
             let Some(pod) = self.workload.pods.get(self.next_arrival) else {
@@ -897,7 +793,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
                 )));
             }
             match entry {
-                SubmitEntry::Submit(_) => self.admit_pod(t, &mut be, &mut ls),
+                SubmitEntry::Submit(_) => self.admit_pod(&mut be, &mut ls),
                 SubmitEntry::Deny(_) => self.deny_pod(t),
             }
         }
@@ -914,9 +810,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
         let pid = pod.spec.id;
         let slo = pod.spec.slo;
         self.next_arrival += 1;
-        let c = self.overload.class_mut(slo);
-        c.arrivals += 1;
-        c.disconnected += 1;
+        self.admission.deny(slo);
         let o = &mut self.outcomes[pid.index()];
         o.disconnected_at = Some(t);
         o.wait_ticks = t.saturating_since(o.arrival);
@@ -1006,30 +900,28 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
     }
 
     fn schedule_round(&mut self, t: Tick, cost: &mut DecisionBudget) {
-        if self.pending.is_empty() {
+        if self.admission.pending().is_empty() {
             return;
         }
         let _round = optum_obs::span!("sim.schedule_round");
-        // Highest SLO priority first, FIFO within a class (lazily: the
-        // queue is only re-sorted when a push broke the order).
-        self.ensure_sorted();
         let mut budget = self.config.schedule_budget_per_tick;
         let mut decided = false;
         let mut starved = false;
-        // Swap the queue with a persistent scratch buffer instead of
-        // `mem::take`, so the capacity of both vectors survives the
-        // tick and steady-state rounds allocate nothing.
-        std::mem::swap(&mut self.pending, &mut self.pending_scratch);
+        // Highest SLO priority first, FIFO within a class; the round
+        // buffer is persistent scratch, so steady-state rounds
+        // allocate nothing.
+        self.admission
+            .take_round(&mut self.pending_scratch, pod_meta(self.workload));
         for k in 0..self.pending_scratch.len() {
             let pid = self.pending_scratch[k];
             // Restart backoff after a fault eviction: not offered to
             // the scheduler yet, and costs no budget.
             if self.not_before[pid.index()] > t {
-                self.queue_push(pid);
+                self.requeue(pid);
                 continue;
             }
             if budget == 0 {
-                self.queue_push(pid);
+                self.requeue(pid);
                 continue;
             }
             // Decision deadline: once the virtual-cost budget is
@@ -1039,7 +931,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
             // makes progress every tick rather than livelocking.
             if cost.exhausted() && decided {
                 starved = true;
-                self.queue_push(pid);
+                self.requeue(pid);
                 continue;
             }
             budget -= 1;
@@ -1071,14 +963,14 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
                         self.churn.stale_rejections += 1;
                         optum_obs::counter!("sim.stale_rejections");
                         self.outcomes[pid.index()].delay_cause = Some(DelayCause::Other);
-                        self.queue_push(pid);
+                        self.requeue(pid);
                     }
                 }
                 Decision::Place(_) => {
                     // A scheduler bug: out-of-range node. Treat as
                     // unplaceable rather than corrupting state.
                     self.outcomes[pid.index()].delay_cause = Some(optum_types::DelayCause::Other);
-                    self.queue_push(pid);
+                    self.requeue(pid);
                 }
                 Decision::Unplaceable(cause) => {
                     self.outcomes[pid.index()].delay_cause = Some(cause);
@@ -1088,13 +980,13 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
                             continue;
                         }
                     }
-                    self.queue_push(pid);
+                    self.requeue(pid);
                 }
             }
         }
         self.pending_scratch.clear();
         if starved {
-            self.overload.budget_exhausted_rounds += 1;
+            self.admission.stats_mut().budget_exhausted_rounds += 1;
             optum_obs::counter!("sim.budget_exhausted_rounds");
         }
     }
@@ -1216,8 +1108,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
             self.not_before[pid.index()] = Tick(t.0.saturating_add(backoff));
             self.churn.class_mut(slo).evictions += 1;
         }
-        self.queue_push(pid);
-        self.class_depth[Self::class_idx(slo)] += 1;
+        self.admission.push(pid, pod_meta(self.workload));
         if self.events_enabled {
             self.ev_evicted.push(pid);
         }
@@ -1235,11 +1126,6 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
         if self.fault_evicted[pid.index()] {
             optum_obs::counter!("sim.reschedules");
         }
-        // The pod leaves the pending queue (it was pulled out of this
-        // round's scratch buffer, counted as queued until placed).
-        let depth =
-            &mut self.class_depth[Self::class_idx(self.workload.pods[pid.index()].spec.slo)];
-        *depth = depth.saturating_sub(1);
         let gen = &self.workload.pods[pid.index()];
         let spec = &gen.spec;
         let rescheduled_after = self.evicted_at[pid.index()].take();
@@ -1624,7 +1510,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
                 active_nodes,
                 mean_cpu_util_active: active_cpu_util / active,
                 mean_mem_util_active: active_mem_util / active,
-                pending: self.pending.len(),
+                pending: self.admission.pending().len(),
                 running: running_count,
                 submitted_be: sub_be,
                 submitted_ls: sub_ls,
@@ -1751,8 +1637,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
         // additionally waits from its eviction (and counts as failed
         // in the per-class recovery stats when the eviction was
         // fault-driven).
-        for k in 0..self.pending.len() {
-            let pid = self.pending[k];
+        for &pid in self.admission.pending() {
             let ev = self.evicted_at[pid.index()];
             let o = &mut self.outcomes[pid.index()];
             if o.placed_at.is_none() {
@@ -1768,15 +1653,13 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
         }
         // Pods still in the BE throttle buffer: never admitted, so
         // they wait (censored) from arrival to the end of the run.
-        for k in 0..self.throttled.len() {
-            let pid = self.throttled[k];
+        for &pid in self.admission.throttled() {
             let o = &mut self.outcomes[pid.index()];
             if o.placed_at.is_none() {
                 o.wait_ticks = end.saturating_since(o.arrival);
             }
-            let slo = o.slo;
-            self.overload.class_mut(slo).throttled_end += 1;
         }
+        self.admission.close();
         // Pods still running: flush their peaks into outcomes.
         for pid in 0..self.running.len() {
             if let Some(state) = self.running[pid].take() {
@@ -1896,13 +1779,13 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
         // Cursors and queues.
         w.put_u64(self.next_arrival as u64);
         w.put_u64(self.next_fault as u64);
-        w.put_u64(self.pending.len() as u64);
-        for p in &self.pending {
+        w.put_u64(self.admission.pending().len() as u64);
+        for p in self.admission.pending() {
             w.put_u64(p.0 as u64);
         }
-        w.put_bool(self.pending_sorted);
-        w.put_u64(self.throttled.len() as u64);
-        for p in &self.throttled {
+        w.put_bool(self.admission.is_sorted());
+        w.put_u64(self.admission.throttled().len() as u64);
+        for p in self.admission.throttled() {
             w.put_u64(p.0 as u64);
         }
         // Cluster and application state.
@@ -1960,7 +1843,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
         }
         self.churn.snap_save(&mut w);
         self.violations.snap_save(&mut w);
-        self.overload.snap_save(&mut w);
+        self.admission.stats().snap_save(&mut w);
         // Recorded series.
         w.put_u64(self.cluster_series.len() as u64);
         for s in &self.cluster_series {
@@ -2095,28 +1978,22 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
                 "snapshot corrupt: cursor beyond plan length".into(),
             ));
         }
-        self.pending.clear();
-        for _ in 0..r.get_len()? {
-            self.pending.push(PodId(r.get_u64()? as u32));
-        }
-        self.pending_sorted = r.get_bool()?;
-        self.throttled.clear();
-        for _ in 0..r.get_len()? {
-            self.throttled.push_back(PodId(r.get_u64()? as u32));
-        }
-        // Per-class queue depths are derived state: rebuild them from
-        // the restored queue instead of serializing them.
-        self.class_depth = [0; SloClass::ALL.len()];
-        for k in 0..self.pending.len() {
-            let pid = self.pending[k];
-            if pid.index() >= self.workload.pods.len() {
-                return Err(Error::InvalidData(
-                    "snapshot corrupt: pending pod id out of range".into(),
-                ));
-            }
-            let slo = self.workload.pods[pid.index()].spec.slo;
-            self.class_depth[Self::class_idx(slo)] += 1;
-        }
+        let n_pods = self.workload.pods.len();
+        let read_ids = |r: &mut SnapReader<'_>| -> Result<Vec<PodId>> {
+            (0..r.get_len()?)
+                .map(|_| match r.get_u64()? {
+                    id if id < n_pods as u64 => Ok(PodId(id as u32)),
+                    _ => Err(Error::InvalidData(
+                        "snapshot corrupt: queued pod id out of range".into(),
+                    )),
+                })
+                .collect()
+        };
+        let pending = read_ids(&mut r)?;
+        let sorted = r.get_bool()?;
+        let throttled = read_ids(&mut r)?.into();
+        self.admission
+            .restore_queues(pending, sorted, throttled, pod_meta(self.workload));
         // Cluster and application state.
         let n_nodes = r.get_len()?;
         if n_nodes != self.nodes.len() {
@@ -2183,7 +2060,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
         }
         self.churn = ChurnStats::snap_load(&mut r)?;
         self.violations = ViolationStats::snap_load(&mut r)?;
-        self.overload = OverloadStats::snap_load(&mut r)?;
+        *self.admission.stats_mut() = OverloadStats::snap_load(&mut r)?;
         // Recorded series.
         self.cluster_series.clear();
         for _ in 0..r.get_len()? {

@@ -20,6 +20,7 @@
 //! need. Simulations are fully deterministic: identical configuration
 //! and scheduler behavior yield identical results.
 
+pub mod admission;
 pub mod appstats;
 pub mod checkpoint;
 pub mod config;
@@ -30,6 +31,7 @@ pub mod scheduler;
 pub mod training;
 pub mod view;
 
+pub use admission::{Admission, Admit};
 pub use appstats::AppStatsStore;
 pub use checkpoint::{
     read_snapshot_file, write_snapshot_file, Fingerprint, SnapReader, SnapWriter,

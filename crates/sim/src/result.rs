@@ -376,21 +376,14 @@ pub struct ChurnStats {
 }
 
 impl ChurnStats {
-    fn class_index(slo: SloClass) -> usize {
-        SloClass::ALL
-            .iter()
-            .position(|&c| c == slo)
-            .expect("every class is in ALL")
-    }
-
     /// Recovery accounting of one class.
     pub fn class(&self, slo: SloClass) -> &ClassChurn {
-        &self.per_class[Self::class_index(slo)]
+        &self.per_class[slo.index()]
     }
 
     /// Mutable recovery accounting of one class.
     pub fn class_mut(&mut self, slo: SloClass) -> &mut ClassChurn {
-        &mut self.per_class[Self::class_index(slo)]
+        &mut self.per_class[slo.index()]
     }
 
     /// Total fault-driven evictions across classes.
@@ -482,6 +475,12 @@ pub struct ClassOverload {
 }
 
 impl ClassOverload {
+    /// The conservation law: every arrival is in exactly one of
+    /// `admitted`, `shed`, `throttled_end` or `disconnected`.
+    pub fn conserved(&self) -> bool {
+        self.admitted + self.shed + self.throttled_end + self.disconnected == self.arrivals
+    }
+
     /// Denied-service rate: the fraction of this class's arrivals the
     /// overload protection kept out — shed outright, or still parked
     /// in the throttle buffer when the window closed (backpressure
@@ -513,21 +512,9 @@ pub struct OverloadStats {
 }
 
 impl OverloadStats {
-    fn class_index(slo: SloClass) -> usize {
-        SloClass::ALL
-            .iter()
-            .position(|&c| c == slo)
-            .expect("every class is in ALL")
-    }
-
     /// Admission ledger of one class.
     pub fn class(&self, slo: SloClass) -> &ClassOverload {
-        &self.per_class[Self::class_index(slo)]
-    }
-
-    /// Mutable admission ledger of one class.
-    pub fn class_mut(&mut self, slo: SloClass) -> &mut ClassOverload {
-        &mut self.per_class[Self::class_index(slo)]
+        &self.per_class[slo.index()]
     }
 
     /// Total pods shed across classes.
@@ -539,9 +526,7 @@ impl OverloadStats {
     /// `admitted + shed + throttled_end + disconnected == arrivals`
     /// for every class.
     pub fn conserved(&self) -> bool {
-        self.per_class
-            .iter()
-            .all(|c| c.admitted + c.shed + c.throttled_end + c.disconnected == c.arrivals)
+        self.per_class.iter().all(ClassOverload::conserved)
     }
 
     /// Total pods denied by client-connection eviction across classes.
@@ -650,11 +635,12 @@ impl SimResult {
         self.outcomes.iter().filter(|o| o.scheduled()).count() as f64 / self.outcomes.len() as f64
     }
 
-    /// FNV-1a digest over every pod outcome, the admission/churn
-    /// ledgers and the recorded cluster series — two runs with equal
-    /// digests placed, completed, shed and measured identically. The
-    /// serve protocol reports this as the deterministic end-state
-    /// digest of a session (mirrors `ScaleResult::digest`).
+    /// [`Fingerprint`](crate::checkpoint::Fingerprint) digest over
+    /// every pod outcome, the admission/churn ledgers and the recorded
+    /// cluster series — two runs with equal digests placed, completed,
+    /// shed and measured identically. The serve protocol reports this
+    /// as the deterministic end-state digest of a session (the
+    /// counterpart of `ScaleResult::digest`).
     pub fn digest(&self) -> u64 {
         let mut fp = crate::checkpoint::Fingerprint::new();
         fp.fold(self.end_tick.0);
@@ -760,7 +746,7 @@ mod tests {
     #[test]
     fn overload_class_accounting_and_conservation() {
         let mut o = OverloadStats::default();
-        let be = o.class_mut(SloClass::Be);
+        let be = &mut o.per_class[SloClass::Be.index()];
         be.arrivals = 10;
         be.admitted = 6;
         be.shed = 3;
@@ -770,7 +756,7 @@ mod tests {
         // Denied-service rate: 3 shed + 1 still throttled of 10.
         assert!((o.class(SloClass::Be).shed_rate() - 0.4).abs() < 1e-12);
         assert_eq!(o.total_shed(), 3);
-        o.class_mut(SloClass::Ls).shed = 1;
+        o.per_class[SloClass::Ls.index()].shed = 1;
         assert!(!o.conserved(), "LS shed without an arrival must trip");
         assert_eq!(o.class(SloClass::Lsr).shed_rate(), 0.0);
     }
@@ -778,14 +764,14 @@ mod tests {
     #[test]
     fn disconnected_pods_enter_the_conservation_law() {
         let mut o = OverloadStats::default();
-        let be = o.class_mut(SloClass::Be);
+        let be = &mut o.per_class[SloClass::Be.index()];
         be.arrivals = 10;
         be.admitted = 6;
         be.shed = 2;
         be.disconnected = 2;
         assert!(o.conserved());
         assert_eq!(o.total_disconnected(), 2);
-        o.class_mut(SloClass::Be).disconnected = 3;
+        o.per_class[SloClass::Be.index()].disconnected = 3;
         assert!(!o.conserved(), "a denial without an arrival must trip");
     }
 

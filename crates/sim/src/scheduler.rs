@@ -139,45 +139,10 @@ pub trait Scheduler {
     }
 }
 
-/// Blanket impl so boxed schedulers can be passed around.
-impl Scheduler for Box<dyn Scheduler> {
-    fn name(&self) -> String {
-        self.as_ref().name()
-    }
-
-    fn select_node(&mut self, pod: &PodSpec, view: &ClusterView<'_>) -> Decision {
-        self.as_mut().select_node(pod, view)
-    }
-
-    fn on_tick(&mut self, view: &ClusterView<'_>) {
-        self.as_mut().on_tick(view)
-    }
-
-    fn select_node_budgeted(
-        &mut self,
-        pod: &PodSpec,
-        view: &ClusterView<'_>,
-        budget: &mut DecisionBudget,
-    ) -> Decision {
-        self.as_mut().select_node_budgeted(pod, view, budget)
-    }
-
-    fn on_tick_budgeted(&mut self, view: &ClusterView<'_>, budget: &mut DecisionBudget) {
-        self.as_mut().on_tick_budgeted(view, budget)
-    }
-
-    fn save_state(&self) -> Option<Vec<u8>> {
-        self.as_ref().save_state()
-    }
-
-    fn load_state(&mut self, state: &[u8]) -> optum_types::Result<()> {
-        self.as_mut().load_state(state)
-    }
-}
-
-/// Same for `Send` boxed schedulers, so rosters of heterogeneous
-/// schedulers can move onto experiment worker threads.
-impl Scheduler for Box<dyn Scheduler + Send> {
+/// Blanket impl so boxed schedulers — `Box<dyn Scheduler>`, and the
+/// `Box<dyn Scheduler + Send>` rosters that move onto experiment
+/// worker threads — can be passed around.
+impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
     fn name(&self) -> String {
         self.as_ref().name()
     }

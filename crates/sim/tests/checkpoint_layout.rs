@@ -44,10 +44,12 @@ fn workload() -> &'static Workload {
 
 /// Runs a checkpointed simulation and returns the last snapshot bytes.
 fn snapshot_bytes(shards: Option<usize>) -> Vec<u8> {
+    // Tests run on parallel threads: one file per call, not per layout.
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let path = std::env::temp_dir().join(format!(
         "optum-layout-{}-{}.snap",
         std::process::id(),
-        shards.unwrap_or(0)
+        CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     ));
     let mut cfg = SimConfig::new(HOSTS);
     cfg.checkpoint_every = Some(250);

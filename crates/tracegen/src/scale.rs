@@ -10,7 +10,7 @@
 //! already sorted by arrival tick.
 //!
 //! Determinism: every draw comes from a per-tick
-//! [`SplitMix64`](optum_types::SplitMix64) stream
+//! [`SplitMix64`] stream
 //! `stream(seed, SCALE_CHANNEL, tick)`, so the population is a pure
 //! function of `(seed, hosts, days)` — independent of shard count,
 //! thread count, and machine. Densities are per 100 hosts, as in

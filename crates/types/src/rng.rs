@@ -15,6 +15,7 @@ pub struct SplitMix64 {
 
 impl SplitMix64 {
     /// Creates a generator from a seed.
+    #[inline]
     pub fn new(seed: u64) -> SplitMix64 {
         SplitMix64 { state: seed }
     }
@@ -34,6 +35,7 @@ impl SplitMix64 {
     }
 
     /// Next raw 64-bit output.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;

@@ -42,6 +42,19 @@ impl SloClass {
         SloClass::Be,
     ];
 
+    /// Position of this class in [`SloClass::ALL`]: the layout of
+    /// every per-class array (admission ledgers, churn accounting).
+    pub const fn index(self) -> usize {
+        match self {
+            SloClass::Unknown => 0,
+            SloClass::System => 1,
+            SloClass::VmEnv => 2,
+            SloClass::Lsr => 3,
+            SloClass::Ls => 4,
+            SloClass::Be => 5,
+        }
+    }
+
     /// The three classes with explicit SLO requirements, which the
     /// characterization and the scheduler focus on.
     pub const EXPLICIT: [SloClass; 3] = [SloClass::Be, SloClass::Ls, SloClass::Lsr];
@@ -106,6 +119,13 @@ impl std::fmt::Display for SloClass {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, c) in SloClass::ALL.iter().enumerate() {
+            assert_eq!(c.index(), i);
+        }
+    }
 
     #[test]
     fn lsr_preempts_be() {
