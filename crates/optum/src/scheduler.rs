@@ -140,12 +140,109 @@ pub struct CandidateExplanation {
 }
 
 /// Internal per-candidate scoring result.
+#[derive(Clone, Copy)]
 struct ScoredCandidate {
     score: f64,
     cpu_ok: bool,
     mem_ok: bool,
     ls_ri: f64,
     be_ri: f64,
+}
+
+impl ScoredCandidate {
+    /// Equality of every bit, which is what a memo hit owes a fresh
+    /// computation (`==` would let `0.0` pass for `-0.0`).
+    fn bit_eq(&self, other: &ScoredCandidate) -> bool {
+        let bits = |c: &ScoredCandidate| {
+            (
+                c.score.to_bits(),
+                c.cpu_ok,
+                c.mem_ok,
+                c.ls_ri.to_bits(),
+                c.be_ri.to_bits(),
+            )
+        };
+        bits(self) == bits(other)
+    }
+}
+
+fn resource_bits(r: Resources) -> [u64; 2] {
+    [r.cpu.to_bits(), r.mem.to_bits()]
+}
+
+/// Everything scoring reads of the incoming pod, as bit patterns. Pods
+/// of one application share all of it, so a host sees a handful of
+/// classes. `app` leads because the derived `==` compares in field
+/// order and a mismatch there ends the comparison.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct PodClass {
+    app: AppId,
+    slo: SloClass,
+    request: [u64; 2],
+    limit: [u64; 2],
+}
+
+impl PodClass {
+    fn of(pod: &PodSpec) -> PodClass {
+        PodClass {
+            app: pod.app,
+            slo: pod.slo,
+            request: resource_bits(pod.request),
+            limit: resource_bits(pod.limit),
+        }
+    }
+}
+
+/// One host's memoized scores: valid for one pod-list version (and the
+/// capacity it was scored against), one entry per pod class seen since
+/// the list last changed. The default matches no host — none has zero
+/// capacity — so a fresh slot's first lookup misses.
+#[derive(Default)]
+struct HostMemo {
+    pods_version: u64,
+    capacity: [u64; 2],
+    entries: Vec<(PodClass, ScoredCandidate)>,
+}
+
+impl HostMemo {
+    /// The stored score of `class` on `node`; forgets the entries first
+    /// when the host's pod list has moved on.
+    fn lookup(&mut self, node: &NodeRuntime, class: &PodClass) -> Option<ScoredCandidate> {
+        let capacity = resource_bits(node.spec.capacity);
+        if (self.pods_version, self.capacity) != (node.pods_version(), capacity) {
+            self.pods_version = node.pods_version();
+            self.capacity = capacity;
+            self.entries.clear();
+            return None;
+        }
+        self.entries
+            .iter()
+            .find(|(c, _)| c == class)
+            .map(|&(_, scored)| scored)
+    }
+}
+
+/// Resident pods of one host grouped per (app, class), with counts.
+type AppGroups = Vec<(AppId, SloClass, f64)>;
+
+/// Buffers one decision fills and the next reuses, so a decision whose
+/// candidates all hit the memo allocates nothing.
+#[derive(Default)]
+struct DecideScratch {
+    /// Host indices under the PPO shuffle.
+    sample: Vec<usize>,
+    /// The sampled hosts that are schedulable and affinity-allowed.
+    candidates: Vec<usize>,
+    /// Pod list of a host plus the incoming pod (`observation_plus`).
+    infos: Vec<PodInfo>,
+    /// Memo misses: (host, utilization predictions).
+    evals: Vec<(usize, CandidateEval)>,
+    /// Scores of `evals`, in the same order.
+    fresh: Vec<ScoredCandidate>,
+    /// One slot per candidate, in candidate order: a memo hit, or
+    /// `None` for a miss, whose score is the next one of `fresh`.
+    scored: Vec<(usize, Option<ScoredCandidate>)>,
+    groups: AppGroups,
 }
 
 /// Per-candidate state from the fused assembly pass of `decide`: the
@@ -169,9 +266,11 @@ pub struct OptumScheduler {
     predictor: OptumPredictor,
     rng: StdRng,
     ri_cache: Arc<RwLock<HashMap<RiKey, f64>>>,
-    scratch: Vec<PodInfo>,
-    candidate_scratch: Vec<usize>,
-    eval_scratch: Vec<(usize, CandidateEval)>,
+    /// Candidate memo, one slot per host (see DESIGN.md, "Candidate
+    /// memo"). Holds scores of one scoring mode only: `memo_degraded`.
+    memo: Vec<HostMemo>,
+    memo_degraded: bool,
+    scratch: DecideScratch,
     ri_key_scratch: Vec<RiKey>,
     ri_feat_scratch: Vec<f64>,
     ri_out_scratch: Vec<f64>,
@@ -209,9 +308,9 @@ impl OptumScheduler {
             interference,
             predictor: OptumPredictor,
             ri_cache: Arc::new(RwLock::new(HashMap::new())),
-            scratch: Vec::new(),
-            candidate_scratch: Vec::new(),
-            eval_scratch: Vec::new(),
+            memo: Vec::new(),
+            memo_degraded: false,
+            scratch: DecideScratch::default(),
             ri_key_scratch: Vec::new(),
             ri_feat_scratch: Vec::new(),
             ri_out_scratch: Vec::new(),
@@ -375,27 +474,20 @@ impl OptumScheduler {
             request: pod.request,
             limit: pod.limit,
         };
-        let mut buf = std::mem::take(&mut self.scratch);
-        let obs = view.observation_plus(node, extra, &mut buf);
+        let mut s = std::mem::take(&mut self.scratch);
+        let obs = view.observation_plus(node, extra, &mut s.infos);
         let pred: Resources = self.predictor.predict(&obs, self.usage_profiles.as_ref());
         let cap = node.spec.capacity;
         let (poc_util, pom_util) = (pred.cpu / cap.cpu, pred.mem / cap.mem);
-        let mut buf2 = Vec::new();
-        let scored = self.score_candidate(pod, node, view, &mut buf2);
-        self.scratch = buf;
+        let scored = self.score_candidate(pod, node, view, &mut s.infos, &mut s.groups);
+        self.scratch = s;
         CandidateExplanation {
             poc_util,
             pom_util,
-            score: scored
-                .as_ref()
-                .map(|s| s.score)
-                .unwrap_or(f64::NEG_INFINITY),
-            feasible: scored
-                .as_ref()
-                .map(|s| s.score > f64::NEG_INFINITY)
-                .unwrap_or(false),
-            ls_ri: scored.as_ref().map(|s| s.ls_ri).unwrap_or(0.0),
-            be_ri: scored.as_ref().map(|s| s.be_ri).unwrap_or(0.0),
+            score: scored.score,
+            feasible: scored.score > f64::NEG_INFINITY,
+            ls_ri: scored.ls_ri,
+            be_ri: scored.be_ri,
         }
     }
 
@@ -430,18 +522,20 @@ impl OptumScheduler {
     /// difference, not the absolute per-host value — the host's
     /// pre-existing terms are paid regardless of where the new pod
     /// lands, and differencing also cancels per-host model bias.
-    /// Returns `None`-like negative-infinity score when the candidate
-    /// is infeasible (predicted utilization ≥ 1 or beyond the memory
-    /// guard).
+    /// Returns a negative-infinity score when the candidate is
+    /// infeasible (predicted utilization ≥ 1 or beyond the memory
+    /// guard). This is the memo-free path: `explain` and the debug
+    /// check of every memo hit go through it.
     fn score_candidate(
         &self,
         pod: &PodSpec,
         node: &NodeRuntime,
         view: &ClusterView<'_>,
-        buf: &mut Vec<PodInfo>,
-    ) -> Option<ScoredCandidate> {
-        let eval = self.eval_candidate(pod, node, view, buf);
-        Some(self.score_eval(pod, node, &eval))
+        infos: &mut Vec<PodInfo>,
+        groups: &mut AppGroups,
+    ) -> ScoredCandidate {
+        let eval = self.eval_candidate(pod, node, view, infos);
+        self.score_eval(pod, node, &eval, groups)
     }
 
     /// The predictor half of scoring: before/after host-utilization
@@ -490,6 +584,7 @@ impl OptumScheduler {
         pod: &PodSpec,
         node: &NodeRuntime,
         eval: &CandidateEval,
+        groups: &mut AppGroups,
     ) -> ScoredCandidate {
         let before = eval.before;
         let (poc_util, pom_util) = eval.after;
@@ -522,8 +617,8 @@ impl OptumScheduler {
             };
         }
         // Resident pods grouped per app (small vectors; avoid hashing).
-        let mut groups: Vec<(AppId, SloClass, f64)> = Vec::with_capacity(8);
-        for rp in &node.pods {
+        groups.clear();
+        for rp in node.pods() {
             match groups
                 .iter_mut()
                 .find(|(a, s, _)| *a == rp.app && *s == rp.slo)
@@ -532,7 +627,7 @@ impl OptumScheduler {
                 None => groups.push((rp.app, rp.slo, 1.0)),
             }
         }
-        let (ls_before, be_before, _) = self.interference_sums(&groups, before.0, before.1);
+        let (ls_before, be_before, _) = self.interference_sums(groups, before.0, before.1);
         match groups
             .iter_mut()
             .find(|(a, s, _)| *a == pod.app && *s == pod.slo)
@@ -540,7 +635,7 @@ impl OptumScheduler {
             Some(g) => g.2 += 1.0,
             None => groups.push((pod.app, pod.slo, 1.0)),
         }
-        let (ls_ri, be_ri, worst_ls) = self.interference_sums(&groups, poc_util, pom_util);
+        let (ls_ri, be_ri, worst_ls) = self.interference_sums(groups, poc_util, pom_util);
         // Hard PSI constraint: refuse to push any LS application past
         // the guard (reported as a CPU-pressure cause).
         if worst_ls > self.config.psi_guard {
@@ -611,7 +706,7 @@ impl OptumScheduler {
                 }
                 keys.push((app.0, after_b.0, after_b.1, is_ls));
             };
-            for rp in &view.nodes[i].pods {
+            for rp in view.nodes[i].pods() {
                 push(rp.app, rp.slo, true);
             }
             push(pod.app, pod.slo, false);
@@ -695,6 +790,84 @@ impl OptumScheduler {
             .min(n)
     }
 
+    /// Drops the whole memo when what it was filled under no longer
+    /// holds: another scoring mode (the breaker opened or closed —
+    /// `score_eval` reads the mode) or another host count (another
+    /// cluster behind the same indices).
+    fn sync_memo(&mut self, hosts: usize) {
+        let degraded = self.is_degraded();
+        if self.memo.len() != hosts || self.memo_degraded != degraded {
+            self.memo.clear();
+            self.memo.resize_with(hosts, HostMemo::default);
+            self.memo_degraded = degraded;
+        }
+    }
+
+    /// Scores the memo misses of one decision (`s.evals`) into
+    /// `s.fresh` and stores them in the memo.
+    fn score_misses(
+        &mut self,
+        pod: &PodSpec,
+        view: &ClusterView<'_>,
+        class: &PodClass,
+        s: &mut DecideScratch,
+    ) {
+        // Prefetch with exponential backoff: once the RI cache is
+        // warm, prefetches find nothing to do, so skip up to 64
+        // scoring decisions between probes and reset on any miss.
+        // Values are bit-identical either way — `ri_of` still computes
+        // misses on demand — so this only trims overhead, never
+        // changes scores.
+        if !self.is_degraded() {
+            if self.prefetch_backoff > 0 {
+                self.prefetch_backoff -= 1;
+            } else {
+                if self.prefetch_ri(pod, view, &s.evals) == 0 {
+                    self.prefetch_interval = (self.prefetch_interval.max(1) * 2).min(64);
+                } else {
+                    self.prefetch_interval = 0;
+                }
+                self.prefetch_backoff = self.prefetch_interval;
+            }
+        }
+        // Across worker threads when there are enough misses to
+        // amortize spawning (§4.3.4: the Online Scheduler's components
+        // run multi-threaded, each thread scoring a few candidate
+        // hosts).
+        let threads = self.config.threads;
+        if threads > 1 && s.evals.len() >= 4 * threads {
+            let this = &*self;
+            let (evals, fresh) = (&s.evals, &mut s.fresh);
+            crossbeam::scope(|scope| {
+                let handles: Vec<_> = evals
+                    .chunks(evals.len().div_ceil(threads))
+                    .map(|part| {
+                        scope.spawn(move |_| {
+                            let mut groups = AppGroups::new();
+                            part.iter()
+                                .map(|(i, eval)| {
+                                    this.score_eval(pod, &view.nodes[*i], eval, &mut groups)
+                                })
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                for h in handles {
+                    fresh.extend(h.join().expect("scoring thread panicked"));
+                }
+            })
+            .expect("crossbeam scope");
+        } else {
+            for (i, eval) in &s.evals {
+                let scored = self.score_eval(pod, &view.nodes[*i], eval, &mut s.groups);
+                s.fresh.push(scored);
+            }
+        }
+        for ((i, _), &scored) in s.evals.iter().zip(&s.fresh) {
+            self.memo[*i].entries.push((*class, scored));
+        }
+    }
+
     /// Decision body. `want_cap` (set only on the budget-degraded
     /// path) truncates the PPO sample; `None` is the exact legacy
     /// scan, including its RNG consumption.
@@ -703,6 +876,19 @@ impl OptumScheduler {
         pod: &PodSpec,
         view: &ClusterView<'_>,
         want_cap: Option<usize>,
+    ) -> Decision {
+        let mut s = std::mem::take(&mut self.scratch);
+        let decision = self.decide_in(pod, view, want_cap, &mut s);
+        self.scratch = s;
+        decision
+    }
+
+    fn decide_in(
+        &mut self,
+        pod: &PodSpec,
+        view: &ClusterView<'_>,
+        want_cap: Option<usize>,
+        s: &mut DecideScratch,
     ) -> Decision {
         let n = view.nodes.len();
         let want = {
@@ -715,93 +901,61 @@ impl OptumScheduler {
         // PPO sampling: a random host subset per request (§4.3.4).
         // `partial_shuffle` returns the sampled elements as its first
         // tuple component (they live at the *end* of the slice).
-        let candidates: Vec<usize> = {
+        {
             let _filter = optum_obs::span!("optum.filter");
-            self.candidate_scratch.clear();
-            self.candidate_scratch.extend(0..n);
-            let (chosen, _) = self.candidate_scratch.partial_shuffle(&mut self.rng, want);
+            s.sample.clear();
+            s.sample.extend(0..n);
+            let (chosen, _) = s.sample.partial_shuffle(&mut self.rng, want);
             // Affinity first (§2.1: candidates are the affinity-
             // satisfying nodes), then the PPO sample.
-            chosen
-                .iter()
-                .copied()
-                .filter(|&i| {
-                    view.nodes[i].is_schedulable() && view.allows(pod.app, view.nodes[i].spec.id)
-                })
-                .collect()
-        };
-        if candidates.is_empty() {
+            s.candidates.clear();
+            s.candidates.extend(chosen.iter().copied().filter(|&i| {
+                view.nodes[i].is_schedulable() && view.allows(pod.app, view.nodes[i].spec.id)
+            }));
+        }
+        if s.candidates.is_empty() {
             return Decision::Unplaceable(optum_types::DelayCause::Other);
         }
 
         let _score = optum_obs::span!("optum.score");
-        // Fused assembly: one pass computes every candidate's
-        // before/after utilization predictions (the predictor half of
-        // scoring) into a reusable scratch buffer, so the interference
-        // models can be warmed with batched evaluations below instead
-        // of two scalar tree walks per resident app per candidate.
-        let mut evals = std::mem::take(&mut self.eval_scratch);
-        evals.clear();
-        {
-            let mut buf = std::mem::take(&mut self.scratch);
-            evals.extend(
-                candidates
-                    .iter()
-                    .map(|&i| (i, self.eval_candidate(pod, &view.nodes[i], view, &mut buf))),
-            );
-            self.scratch = buf;
-        }
-        // Prefetch with exponential backoff: once the RI cache is
-        // warm, prefetches find nothing to do, so skip up to 64
-        // decisions between probes and reset on any miss. Values are
-        // bit-identical either way — `ri_of` still computes misses on
-        // demand — so this only trims overhead, never changes scores.
-        if !self.is_degraded() {
-            if self.prefetch_backoff > 0 {
-                self.prefetch_backoff -= 1;
-            } else {
-                if self.prefetch_ri(pod, view, &evals) == 0 {
-                    self.prefetch_interval = (self.prefetch_interval.max(1) * 2).min(64);
-                } else {
-                    self.prefetch_interval = 0;
+        // A candidate's score is a function of its pod list, the pod's
+        // class, the static profiles and the breaker mode, so a host
+        // whose list has not moved since it last scored this class is
+        // not scored again. Only the misses go through the fused
+        // assembly below: one pass computes their before/after
+        // utilization predictions (the predictor half of scoring), so
+        // the interference models can be warmed with batched
+        // evaluations instead of two scalar tree walks per resident
+        // app per candidate.
+        self.sync_memo(n);
+        let class = PodClass::of(pod);
+        s.evals.clear();
+        s.fresh.clear();
+        s.scored.clear();
+        for &i in &s.candidates {
+            let node = &view.nodes[i];
+            let hit = self.memo[i].lookup(node, &class);
+            match hit {
+                // Every debug build — so every test — is the memo's
+                // oracle: a hit must be the fresh score, bit for bit.
+                Some(hit) => debug_assert!(
+                    hit.bit_eq(&self.score_candidate(pod, node, view, &mut s.infos, &mut s.groups)),
+                    "stale candidate memo: host {i}, pod-list version {}",
+                    node.pods_version()
+                ),
+                None => {
+                    let eval = self.eval_candidate(pod, node, view, &mut s.infos);
+                    s.evals.push((i, eval));
                 }
-                self.prefetch_backoff = self.prefetch_interval;
             }
+            s.scored.push((i, hit));
         }
-        // Score all candidates, across worker threads when the set is
-        // large enough to amortize spawning (§4.3.4: the Online
-        // Scheduler's components run multi-threaded, each thread
-        // scoring a few candidate hosts).
-        let scored: Vec<(usize, ScoredCandidate)> = if self.config.threads > 1
-            && candidates.len() >= 4 * self.config.threads
-        {
-            let this = &*self;
-            let evals = &evals;
-            let chunk = candidates.len().div_ceil(self.config.threads);
-            crossbeam::scope(|scope| {
-                let handles: Vec<_> = evals
-                    .chunks(chunk)
-                    .map(|part| {
-                        scope.spawn(move |_| {
-                            part.iter()
-                                .map(|(i, eval)| (*i, this.score_eval(pod, &view.nodes[*i], eval)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("scoring thread panicked"))
-                    .collect()
-            })
-            .expect("crossbeam scope")
-        } else {
-            evals
-                .iter()
-                .map(|(i, eval)| (*i, self.score_eval(pod, &view.nodes[*i], eval)))
-                .collect()
-        };
-        self.eval_scratch = evals;
+        let misses = s.evals.len();
+        optum_obs::counter!("optum.memo.hit", (s.candidates.len() - misses) as u64);
+        if misses > 0 {
+            optum_obs::counter!("optum.memo.miss", misses as u64);
+            self.score_misses(pod, view, &class, s);
+        }
 
         // Idle hosts are a last resort: waking one forfeits the
         // consolidation the objective is chasing, so an empty candidate
@@ -813,7 +967,11 @@ impl OptumScheduler {
         let mut best_empty: Option<(usize, f64)> = None;
         let mut any_cpu_ok = false;
         let mut any_mem_ok = false;
-        for (i, sc) in scored {
+        // Misses were collected in candidate order, so the empty slots
+        // of `scored` take the fresh scores in sequence.
+        let mut fresh = s.fresh.iter();
+        for &(i, hit) in &s.scored {
+            let sc = hit.unwrap_or_else(|| *fresh.next().expect("one fresh score per miss"));
             let (score, cpu_ok, mem_ok) = (sc.score, sc.cpu_ok, sc.mem_ok);
             any_cpu_ok |= cpu_ok;
             any_mem_ok |= mem_ok;
@@ -1240,5 +1398,250 @@ mod tests {
                 b.select_node(&pod(0, SloClass::Ls), &view)
             );
         }
+    }
+
+    // ---- candidate memo -------------------------------------------------
+
+    fn view_of<'a>(
+        nodes: &'a [NodeRuntime],
+        apps: &'a AppStatsStore,
+        cluster: &'a ClusterConfig,
+        tick: u64,
+    ) -> ClusterView<'a> {
+        ClusterView {
+            tick: Tick(tick),
+            nodes,
+            apps,
+            cluster,
+            history_window: 10,
+            affinity: &[],
+        }
+    }
+
+    /// What `decide` must answer, worked out without the memo: its
+    /// argmax and tie-break over the `explain` of every host. (`None`
+    /// = unplaceable. With `min_candidates` ≥ hosts the PPO sample is
+    /// the whole cluster, so "every host" is the candidate set.)
+    fn memo_free_choice(
+        sched: &mut OptumScheduler,
+        pod: &PodSpec,
+        view: &ClusterView<'_>,
+    ) -> Option<NodeId> {
+        let mut best: Option<(usize, f64, usize)> = None;
+        let mut best_empty = None;
+        for (i, node) in view.nodes.iter().enumerate() {
+            let e = sched.explain(pod, node, view);
+            if !e.feasible {
+                continue;
+            }
+            let count = node.pod_count();
+            if count == 0 {
+                best_empty = best_empty.or(Some(i));
+            } else if best.is_none_or(|(_, bs, bc)| {
+                e.score > bs + 1e-12 || ((e.score - bs).abs() <= 1e-12 && count > bc)
+            }) {
+                best = Some((i, e.score, count));
+            }
+        }
+        best.map(|(i, _, _)| i)
+            .or(best_empty)
+            .map(|i| NodeId(i as u32))
+    }
+
+    fn choice(decision: Decision) -> Option<NodeId> {
+        match decision {
+            Decision::Place(node) => Some(node),
+            Decision::Unplaceable(_) => None,
+        }
+    }
+
+    fn sized_pod(app: u32, slo: SloClass, cpu: f64) -> PodSpec {
+        PodSpec {
+            request: Resources::new(cpu, 0.02),
+            limit: Resources::new(2.0 * cpu, 0.04),
+            ..pod(app, slo)
+        }
+    }
+
+    #[test]
+    fn decisions_track_the_cluster_through_adds_and_removes() {
+        enum Op {
+            Add(usize, ResidentPod),
+            Remove(usize, u32),
+        }
+        use Op::*;
+        let filler = |id| resident(id, 2, SloClass::Unknown, 0.1, 0.1);
+        let ops = vec![
+            // Host 2 becomes the only occupied host, then host 3
+            // overtakes it.
+            Add(2, filler(1)),
+            Add(2, filler(2)),
+            Add(3, filler(3)),
+            Add(3, filler(4)),
+            Add(3, filler(5)),
+            // An LS resident whose PSI model reads pressure.
+            Add(3, resident(6, 0, SloClass::Ls, 0.05, 0.02)),
+            // Host 3 shrinks back below host 2.
+            Remove(3, 4),
+            Remove(3, 5),
+            Remove(3, 3),
+            // Host 2 empties (idle hosts are a last resort) and takes
+            // the very same pod back.
+            Remove(2, 1),
+            Remove(2, 2),
+            Add(2, filler(2)),
+            // Host 3 empties; host 1 fills past the CPU guard.
+            Remove(3, 6),
+            Add(1, resident(7, 2, SloClass::Unknown, 0.7, 0.1)),
+            Add(1, resident(8, 1, SloClass::Be, 0.08, 0.1)),
+            Remove(1, 7),
+        ];
+        let pods = [
+            pod(0, SloClass::Ls),
+            pod(1, SloClass::Be),
+            // Same app and class as the first, another size: its own
+            // pod class.
+            sized_pod(0, SloClass::Ls, 0.12),
+        ];
+        let mut sched = scheduler();
+        let apps = AppStatsStore::new(3);
+        let cluster = ClusterConfig::homogeneous(5);
+        let mut nodes: Vec<NodeRuntime> = cluster.nodes().map(NodeRuntime::new).collect();
+        let mut answers = Vec::new();
+        let mut check = |nodes: &[NodeRuntime], step: usize| {
+            let view = view_of(nodes, &apps, &cluster, step as u64);
+            for p in &pods {
+                let expect = memo_free_choice(&mut sched, p, &view);
+                // Twice: the second decision is served from the memo.
+                for round in 0..2 {
+                    let got = choice(sched.select_node(p, &view));
+                    assert_eq!(got, expect, "step {step}, app {}, round {round}", p.app.0);
+                }
+                answers.push(expect);
+            }
+        };
+        check(&nodes, 0);
+        for (step, op) in ops.into_iter().enumerate() {
+            match op {
+                Add(host, rp) => nodes[host].add_pod(rp),
+                Remove(host, id) => {
+                    nodes[host].remove_pod(PodId(id)).expect("resident");
+                }
+            }
+            check(&nodes, step + 1);
+        }
+        // The script is worth nothing if the answer never moves.
+        answers.sort();
+        answers.dedup();
+        assert!(answers.len() >= 4, "only {answers:?} ever chosen");
+    }
+
+    #[test]
+    fn scores_follow_the_breaker_on_an_unchanged_cluster() {
+        let mut sched = scheduler();
+        sched.set_outage_plan(vec![optum_chaos::OutageWindow {
+            start: Tick(2),
+            end: Tick(4),
+        }]);
+        let apps = AppStatsStore::new(3);
+        let cluster = ClusterConfig::homogeneous(2);
+        // Host 0: fuller, and under PSI pressure for app 0. Host 1:
+        // lighter, no pressure. Full scoring avoids host 0; the
+        // utilization-only fallback packs onto it.
+        let mut n0 = NodeRuntime::new(NodeSpec::standard(NodeId(0)));
+        for i in 0..6 {
+            n0.add_pod(resident(i, 2, SloClass::Unknown, 0.105, 0.02));
+        }
+        n0.add_pod(resident(20, 0, SloClass::Ls, 0.05, 0.02));
+        let mut n1 = NodeRuntime::new(NodeSpec::standard(NodeId(1)));
+        for i in 30..34 {
+            n1.add_pod(resident(i, 2, SloClass::Unknown, 0.105, 0.02));
+        }
+        let nodes = vec![n0, n1];
+        let p = pod(0, SloClass::Ls);
+        let decide_at = |sched: &mut OptumScheduler, tick: u64| {
+            let view = view_of(&nodes, &apps, &cluster, tick);
+            sched.on_tick(&view);
+            let expect = memo_free_choice(sched, &p, &view);
+            for _ in 0..2 {
+                assert_eq!(choice(sched.select_node(&p, &view)), expect, "tick {tick}");
+            }
+            expect
+        };
+        let closed = decide_at(&mut sched, 0);
+        assert_eq!(sched.breaker_state(), BreakerState::Closed);
+        let open = decide_at(&mut sched, 2);
+        assert_eq!(sched.breaker_state(), BreakerState::Open);
+        assert_ne!(closed, open, "the two modes must disagree on this cluster");
+        for t in 3..13 {
+            assert_eq!(decide_at(&mut sched, t), open, "still in fallback at {t}");
+        }
+        assert_eq!(decide_at(&mut sched, 13), closed);
+        assert_eq!(sched.breaker_state(), BreakerState::Closed);
+    }
+
+    #[test]
+    fn one_scheduler_two_clusters_share_nothing_but_clones() {
+        // Two clusters built apart: the same pod count on every host,
+        // other pods. A memo keyed on anything coarser than the list
+        // itself (its length, say) would serve A's scores for B.
+        let build = |app: u32, cpu: f64| -> Vec<NodeRuntime> {
+            ClusterConfig::homogeneous(4)
+                .nodes()
+                .enumerate()
+                .map(|(i, spec)| {
+                    let mut node = NodeRuntime::new(spec);
+                    for k in 0..=i {
+                        node.add_pod(resident(
+                            (8 * i + k) as u32,
+                            app,
+                            SloClass::Unknown,
+                            cpu,
+                            0.05,
+                        ));
+                    }
+                    node
+                })
+                .collect()
+        };
+        let a = build(2, 0.05);
+        let b = build(1, 0.25);
+        let a_clone = a.clone();
+        let apps = AppStatsStore::new(3);
+        let cluster = ClusterConfig::homogeneous(4);
+        let mut sched = scheduler();
+        let (ls, be) = (pod(0, SloClass::Ls), pod(1, SloClass::Be));
+        let entries = |sched: &OptumScheduler| {
+            sched
+                .memo
+                .iter()
+                .map(|h| h.entries.len())
+                .collect::<Vec<_>>()
+        };
+
+        let view_a = view_of(&a, &apps, &cluster, 0);
+        let on_a = memo_free_choice(&mut sched, &ls, &view_a);
+        assert_eq!(choice(sched.select_node(&ls, &view_a)), on_a);
+        assert_eq!(entries(&sched), [1; 4]);
+
+        // A clone is the same lists under the same versions: the
+        // second class joins the first in every slot.
+        let view_clone = view_of(&a_clone, &apps, &cluster, 0);
+        sched.select_node(&be, &view_clone);
+        assert_eq!(entries(&sched), [2; 4]);
+
+        // B's lists are others: every slot starts over.
+        let view_b = view_of(&b, &apps, &cluster, 0);
+        let on_b = memo_free_choice(&mut sched, &ls, &view_b);
+        assert_eq!(choice(sched.select_node(&ls, &view_b)), on_b);
+        assert_eq!(entries(&sched), [1; 4]);
+        assert_ne!(on_a, on_b, "the clusters must differ in their answer");
+        // And back again.
+        assert_eq!(choice(sched.select_node(&ls, &view_a)), on_a);
+
+        // Another host count drops the memo whole.
+        let view_short = view_of(&a[..3], &apps, &cluster, 0);
+        sched.select_node(&ls, &view_short);
+        assert_eq!(entries(&sched), [1; 3]);
     }
 }

@@ -880,9 +880,9 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
                 }
                 FaultKind::PodKill { selector } => {
                     let node = &self.nodes[ni];
-                    if !node.pods.is_empty() {
-                        let idx = (selector % node.pods.len() as u64) as usize;
-                        let victim = node.pods[idx].id;
+                    if node.pod_count() > 0 {
+                        let idx = (selector % node.pod_count() as u64) as usize;
+                        let victim = node.pods()[idx].id;
                         self.churn.pod_kills += 1;
                         self.evict(victim, t, EvictKind::Kill);
                     }
@@ -893,7 +893,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
 
     /// Evicts every resident pod of a node (crash or drain).
     fn evict_all(&mut self, node_idx: usize, t: Tick, kind: EvictKind) {
-        while let Some(rp) = self.nodes[node_idx].pods.last() {
+        while let Some(rp) = self.nodes[node_idx].pods().last() {
             let pid = rp.id;
             self.evict(pid, t, kind);
         }
@@ -1022,7 +1022,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
                 continue;
             }
             let be_req: Resources = node
-                .pods
+                .pods()
                 .iter()
                 .filter(|p| p.slo == SloClass::Be)
                 .map(|p| p.request)
@@ -1042,7 +1042,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
                 return Some(NodeId(node_idx as u32));
             }
             let victim = self.nodes[node_idx]
-                .pods
+                .pods()
                 .iter()
                 .rev()
                 .find(|p| p.slo == SloClass::Be)
@@ -1269,7 +1269,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
             self.usage_scratch.clear();
             {
                 let node = &self.nodes[node_idx];
-                for rp in &node.pods {
+                for rp in node.pods() {
                     let gen = &self.workload.pods[rp.id.index()];
                     let app = self.workload.app_of(gen);
                     let terms = &self.tick_terms_scratch[gen.spec.app.index()];
@@ -1609,7 +1609,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
             affinity: &self.affinity_fractions,
         };
         for (idx, node) in self.nodes.iter().enumerate() {
-            if node.pods.is_empty() {
+            if node.pod_count() == 0 {
                 continue;
             }
             let obs = view.observation(node);

@@ -1,5 +1,7 @@
 //! Per-node runtime state.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use optum_predictors::PodInfo;
 use optum_types::{AppId, NodeLifecycle, NodeSpec, PodId, Resources, SloClass, Tick};
 
@@ -37,10 +39,14 @@ pub struct NodeRuntime {
     /// Transient degradation (thermal throttling, noisy daemons)
     /// shrinks it.
     pub degrade: f64,
-    /// Resident pods, in placement order.
-    pub pods: Vec<ResidentPod>,
+    /// Resident pods, in placement order. Private so that
+    /// [`Self::add_pod`] and [`Self::remove_pod`] are the only ways to
+    /// change the list, and each of them moves `pods_version`.
+    pods: Vec<ResidentPod>,
     /// Parallel predictor-facing view of `pods`.
     infos: Vec<PodInfo>,
+    /// See [`Self::pods_version`].
+    pods_version: u64,
     /// Sum of resident requests.
     pub requested: Resources,
     /// Sum of resident requests of best-effort pods only (schedulers
@@ -65,6 +71,15 @@ pub struct NodeRuntime {
 /// Default statistics window: 24 hours of 30-second ticks.
 const DEFAULT_WINDOW: usize = 2880;
 
+/// The version every empty, never-touched pod list carries.
+const EMPTY_PODS_VERSION: u64 = 0;
+
+/// Source of pod-list versions: one process-wide counter, so a value
+/// is handed out once and names one list content for good. The values
+/// differ from run to run when simulators run on several threads;
+/// nothing may read them for anything but equality.
+static NEXT_PODS_VERSION: AtomicU64 = AtomicU64::new(EMPTY_PODS_VERSION + 1);
+
 impl NodeRuntime {
     /// Creates an empty node with the default 24-hour stats window.
     pub fn new(spec: NodeSpec) -> NodeRuntime {
@@ -79,6 +94,7 @@ impl NodeRuntime {
             degrade: 1.0,
             pods: Vec::new(),
             infos: Vec::new(),
+            pods_version: EMPTY_PODS_VERSION,
             requested: Resources::ZERO,
             requested_be: Resources::ZERO,
             limits: Resources::ZERO,
@@ -94,6 +110,28 @@ impl NodeRuntime {
     /// Number of resident pods.
     pub fn pod_count(&self) -> usize {
         self.pods.len()
+    }
+
+    /// Resident pods, in placement order.
+    pub fn pods(&self) -> &[ResidentPod] {
+        &self.pods
+    }
+
+    /// Version stamp of the resident pod list. Two nodes — of one
+    /// simulator or of two, in one process — that report the same
+    /// version hold the same pods in the same order: a new node is at
+    /// the shared empty version, every [`Self::add_pod`] and
+    /// [`Self::remove_pod`] takes a version never handed out before,
+    /// `Clone` copies list and version together, and a checkpoint
+    /// restore re-adds its pods and so takes fresh versions. The
+    /// converse does not hold (equal lists may differ in version), so
+    /// a cache keyed on it can miss needlessly but never hit wrongly.
+    pub fn pods_version(&self) -> u64 {
+        self.pods_version
+    }
+
+    fn bump_pods_version(&mut self) {
+        self.pods_version = NEXT_PODS_VERSION.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Whether the node may receive new placements (it is
@@ -129,6 +167,7 @@ impl NodeRuntime {
             limit: pod.limit,
         });
         self.pods.push(pod);
+        self.bump_pods_version();
     }
 
     /// Removes a pod (completion or preemption); returns it when found.
@@ -136,6 +175,7 @@ impl NodeRuntime {
         let idx = self.pods.iter().position(|p| p.id == id)?;
         let pod = self.pods.remove(idx);
         self.infos.remove(idx);
+        self.bump_pods_version();
         self.requested -= pod.request;
         if pod.slo == SloClass::Be {
             self.requested_be -= pod.request;
@@ -278,20 +318,17 @@ impl NodeRuntime {
         node.degrade = r.get_f64()?;
         let n_pods = r.get_len()?;
         for _ in 0..n_pods {
-            let pod = ResidentPod {
+            // Through `add_pod`, like any other placement, so the
+            // restored list carries a version of its own; the running
+            // sums it accumulates are overwritten just below.
+            node.add_pod(ResidentPod {
                 id: PodId(r.get_u64()? as u32),
                 app: AppId(r.get_u64()? as u32),
                 slo: slo_from(r.get_u64()?)?,
                 request: Resources::new(r.get_f64()?, r.get_f64()?),
                 limit: Resources::new(r.get_f64()?, r.get_f64()?),
                 placed_at: Tick(r.get_u64()?),
-            };
-            node.infos.push(PodInfo {
-                app: pod.app,
-                request: pod.request,
-                limit: pod.limit,
             });
-            node.pods.push(pod);
         }
         node.requested = Resources::new(r.get_f64()?, r.get_f64()?);
         node.requested_be = Resources::new(r.get_f64()?, r.get_f64()?);
@@ -382,6 +419,110 @@ mod tests {
         assert_eq!(n.free_by_request().cpu, 0.0);
         n.push_usage(Resources::new(0.4, 0.1));
         assert!((n.free_by_usage().cpu - 0.6).abs() < 1e-12);
+    }
+}
+
+#[cfg(test)]
+mod version_tests {
+    use super::*;
+    use crate::checkpoint::{SnapReader, SnapWriter};
+    use optum_types::NodeId;
+    use std::collections::HashSet;
+
+    fn node() -> NodeRuntime {
+        NodeRuntime::new(NodeSpec::standard(NodeId(0)))
+    }
+
+    fn pod(id: u32) -> ResidentPod {
+        ResidentPod {
+            id: PodId(id),
+            app: AppId(id % 2),
+            slo: SloClass::Be,
+            request: Resources::new(0.1, 0.05),
+            limit: Resources::new(0.2, 0.1),
+            placed_at: Tick(3),
+        }
+    }
+
+    fn restore(n: &NodeRuntime) -> NodeRuntime {
+        let mut w = SnapWriter::new();
+        n.snap_save(&mut w);
+        let bytes = w.into_bytes();
+        NodeRuntime::snap_load(n.spec, DEFAULT_WINDOW, &mut SnapReader::new(&bytes)).unwrap()
+    }
+
+    #[test]
+    fn every_list_change_takes_a_version_never_seen_before() {
+        let mut n = node();
+        assert_eq!(n.pods_version(), node().pods_version(), "empty lists agree");
+        let mut seen = HashSet::from([n.pods_version()]);
+        n.add_pod(pod(1));
+        assert!(seen.insert(n.pods_version()), "add");
+        n.add_pod(pod(2));
+        assert!(seen.insert(n.pods_version()), "second add");
+        assert!(n.remove_pod(PodId(9)).is_none());
+        assert!(
+            !seen.insert(n.pods_version()),
+            "a failed remove changes nothing"
+        );
+        n.remove_pod(PodId(1));
+        assert!(seen.insert(n.pods_version()), "remove");
+        n.remove_pod(PodId(2));
+        assert!(seen.insert(n.pods_version()), "remove to empty");
+        // The same pod again: same content as two steps ago, new
+        // version all the same (equal versions imply equal lists, not
+        // the other way round).
+        n.add_pod(pod(2));
+        assert!(seen.insert(n.pods_version()), "re-add of the same pod");
+        // Usage history is not part of the list.
+        n.push_usage(Resources::new(0.3, 0.1));
+        assert!(!seen.insert(n.pods_version()), "push_usage");
+    }
+
+    #[test]
+    fn a_clone_shares_the_version_until_either_side_changes() {
+        let mut a = node();
+        a.add_pod(pod(1));
+        let mut b = a.clone();
+        assert_eq!(a.pods_version(), b.pods_version());
+        assert_eq!(a.pods(), b.pods());
+        // The same change on both sides yields equal lists under
+        // different versions; what matters is that neither keeps the
+        // old one.
+        let shared = a.pods_version();
+        a.add_pod(pod(2));
+        b.add_pod(pod(3));
+        assert_ne!(a.pods_version(), shared);
+        assert_ne!(b.pods_version(), shared);
+        assert_ne!(a.pods_version(), b.pods_version());
+    }
+
+    #[test]
+    fn a_restored_node_shares_no_version_with_a_node_of_other_content() {
+        let mut original = node();
+        original.add_pod(pod(1));
+        original.add_pod(pod(2));
+        // Nodes of other content, some built before the restore and
+        // one after: the same pods in the other order, a prefix, the
+        // empty list, and the original moved on.
+        let mut swapped = node();
+        swapped.add_pod(pod(2));
+        swapped.add_pod(pod(1));
+        let mut prefix = node();
+        prefix.add_pod(pod(1));
+        let restored = restore(&original);
+        assert_eq!(restored.pods(), original.pods());
+        assert_eq!(restored.pod_infos(), original.pod_infos());
+        assert_eq!(restored.requested, original.requested);
+        original.remove_pod(PodId(2));
+        let mut later = node();
+        later.add_pod(pod(7));
+        for other in [&swapped, &prefix, &node(), &original, &later] {
+            assert_ne!(other.pods(), restored.pods());
+            assert_ne!(other.pods_version(), restored.pods_version());
+        }
+        // An empty node restores to the shared empty version.
+        assert_eq!(restore(&node()).pods_version(), node().pods_version());
     }
 }
 
