@@ -52,7 +52,8 @@ pub fn bench_cluster(n: usize, workload: &Workload) -> (Vec<NodeRuntime>, AppSta
                 limit: gen.spec.limit,
                 placed_at: Tick(0),
             });
-            apps.observe(gen.spec.app, gen.spec.request * 0.3, gen.spec.request, 0.5);
+            let usage = gen.spec.request * 0.3;
+            apps.observe(gen.spec.app, usage, usage.div(&gen.spec.request), 0.5);
         }
         for k in 0..240u64 {
             let u = 0.3 + 0.1 * ((i as f64 * 0.7 + k as f64 / 37.0).sin());

@@ -212,6 +212,9 @@ fn main() {
                 if trace_summary {
                     eprintln!("# trace summary for {id}:");
                     eprint!("{}", optum_obs::render_summary(&snap));
+                    if let Some(table) = optum_sim::physics_stage_table(&snap) {
+                        eprint!("\n{table}");
+                    }
                 }
                 if write_bench {
                     let json = snapshot::bench_json(id, &config, wall, &snap);

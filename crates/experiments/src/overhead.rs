@@ -38,7 +38,7 @@ fn build_cluster(n: usize, workload: &Workload) -> (Vec<NodeRuntime>, AppStatsSt
             });
             // Seed app statistics so profile-based predictors engage.
             let usage = gen.spec.request * 0.25;
-            apps.observe(gen.spec.app, usage, gen.spec.request, 0.5);
+            apps.observe(gen.spec.app, usage, usage.div(&gen.spec.request), 0.5);
         }
         for k in 0..240u64 {
             let u = 0.25 + 0.1 * ((i as f64 + k as f64 / 40.0).sin());

@@ -59,7 +59,7 @@ pub use registry::{
     counter_add, flush, gauge_set, observe_u64, reset, snapshot, Hist, Snapshot, SpanStat,
     HIST_BUCKETS,
 };
-pub use span::SpanGuard;
+pub use span::{SpanGuard, StageClock};
 pub use summary::render_summary;
 
 /// Opens a timing span; bind the guard (`let _g = span!("name");`) —
@@ -174,6 +174,30 @@ mod tests {
 
     #[test]
     #[cfg(not(feature = "obs-off"))]
+    fn stage_clock_charges_consecutive_stages_inside_one_span() {
+        let _l = locked();
+        reset();
+        {
+            let _g = span!("t.staged");
+            let mut clock = StageClock::start();
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            clock.lap("t.staged.a_ns");
+            clock.lap("t.staged.b_ns");
+        }
+        let snap = snapshot();
+        let (a, b) = (
+            snap.counter("t.staged.a_ns").unwrap(),
+            snap.counter("t.staged.b_ns").unwrap(),
+        );
+        let span = snap.span("t.staged").unwrap();
+        assert!(a >= 2_000_000 && b < a, "a={a} b={b}");
+        // Laps open no child span: the stages stay inside the self time.
+        assert_eq!(span.self_ns, span.total_ns);
+        assert!(a + b <= span.total_ns);
+    }
+
+    #[test]
+    #[cfg(not(feature = "obs-off"))]
     fn worker_thread_shards_merge_on_exit() {
         let _l = locked();
         reset();
@@ -242,6 +266,8 @@ mod tests {
         assert_eq!(std::mem::size_of::<SpanGuard>(), 0);
         assert!(!std::mem::needs_drop::<SpanGuard>());
         let _g = span!("t.off");
+        assert_eq!(std::mem::size_of::<StageClock>(), 0);
+        StageClock::start().lap("t.off.stage_ns");
         counter!("t.off");
         gauge!("t.off.g", 1.0);
         observe!("t.off.h", 42);

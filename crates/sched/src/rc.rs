@@ -112,13 +112,13 @@ mod tests {
             apps.observe(
                 AppId(0),
                 Resources::new(0.01, 0.01),
-                Resources::new(0.3, 0.1),
+                Resources::new(0.01, 0.01).div(&Resources::new(0.3, 0.1)),
                 0.0,
             );
             apps.observe(
                 AppId(1),
                 Resources::new(0.01, 0.01),
-                Resources::new(0.3, 0.1),
+                Resources::new(0.01, 0.01).div(&Resources::new(0.3, 0.1)),
                 0.0,
             );
         }

@@ -53,21 +53,14 @@ impl Default for AppStats {
 }
 
 impl AppStats {
-    /// Records one pod observation.
-    pub fn observe(&mut self, usage: Resources, request: Resources, qps_norm: f64) {
+    /// Records one pod observation: its usage, and that usage relative
+    /// to its request (`usage.div(&request)`).
+    #[inline]
+    pub fn observe(&mut self, usage: Resources, util: Resources, qps_norm: f64) {
         self.cpu_window.push(usage.cpu);
         self.mem_window.push(usage.mem);
-        let cpu_util = if request.cpu > 0.0 {
-            usage.cpu / request.cpu
-        } else {
-            0.0
-        };
-        let mem_util = if request.mem > 0.0 {
-            usage.mem / request.mem
-        } else {
-            0.0
-        };
-        self.max_cpu_util = self.max_cpu_util.max(cpu_util);
+        let mem_util = util.mem;
+        self.max_cpu_util = self.max_cpu_util.max(util.cpu);
         self.max_mem_util = self.max_mem_util.max(mem_util);
         self.max_qps_norm = self.max_qps_norm.max(qps_norm);
         // Welford update of the memory-utilization variance.
@@ -192,9 +185,11 @@ impl AppStatsStore {
         &self.stats[app.index()]
     }
 
-    /// Records one pod observation for an application.
-    pub fn observe(&mut self, app: AppId, usage: Resources, request: Resources, qps: f64) {
-        self.stats[app.index()].observe(usage, request, qps);
+    /// Records one pod observation for an application (see
+    /// [`AppStats::observe`]).
+    #[inline]
+    pub fn observe(&mut self, app: AppId, usage: Resources, util: Resources, qps: f64) {
+        self.stats[app.index()].observe(usage, util, qps);
     }
 
     /// Records a pairwise joint-usage ratio.
@@ -277,7 +272,7 @@ mod tests {
             store.observe(
                 AppId(0),
                 Resources::new(i as f64 / 100.0, 0.01),
-                Resources::new(1.0, 0.02),
+                Resources::new(i as f64 / 100.0, 0.5),
                 0.0,
             );
         }
@@ -296,7 +291,7 @@ mod tests {
             store.observe(
                 AppId(0),
                 Resources::new(0.0, 0.01),
-                Resources::new(0.1, 0.02),
+                Resources::new(0.0, 0.01 / 0.02),
                 0.0,
             );
         }
@@ -306,7 +301,7 @@ mod tests {
             store.observe(
                 AppId(1),
                 Resources::new(0.0, mem),
-                Resources::new(0.1, 0.02),
+                Resources::new(0.0, mem / 0.02),
                 0.0,
             );
         }
@@ -317,8 +312,8 @@ mod tests {
     #[test]
     fn max_utils_track_peaks() {
         let mut s = AppStats::default();
-        s.observe(Resources::new(0.02, 0.01), Resources::new(0.1, 0.1), 0.3);
-        s.observe(Resources::new(0.08, 0.005), Resources::new(0.1, 0.1), 0.9);
+        s.observe(Resources::new(0.02, 0.01), Resources::new(0.2, 0.1), 0.3);
+        s.observe(Resources::new(0.08, 0.005), Resources::new(0.8, 0.05), 0.9);
         assert!((s.max_cpu_util - 0.8).abs() < 1e-12);
         assert!((s.max_mem_util - 0.1).abs() < 1e-12);
         assert_eq!(s.max_qps_norm, 0.9);
@@ -340,7 +335,7 @@ mod tests {
         for &u in &utils {
             s.observe(
                 Resources::new(0.0, u * 0.02),
-                Resources::new(0.1, 0.02),
+                Resources::new(0.0, u * 0.02 / 0.02),
                 0.0,
             );
         }
@@ -369,7 +364,7 @@ mod proptests {
                 store.observe(
                     AppId(0),
                     Resources::new(s, s / 2.0),
-                    Resources::new(1.0, 1.0),
+                    Resources::new(s, s / 2.0),
                     0.0,
                 );
             }
@@ -386,7 +381,7 @@ mod proptests {
             let mut s = AppStats::default();
             let mut prev = 0.0;
             for &x in &samples {
-                s.observe(Resources::new(x, x), Resources::new(1.0, 1.0), x);
+                s.observe(Resources::new(x, x), Resources::new(x, x), x);
                 prop_assert!(s.max_cpu_util >= prev);
                 prev = s.max_cpu_util;
             }

@@ -6,7 +6,7 @@ use optum_types::{
     Result, SloClass, Tick,
 };
 
-use optum_trace::{hash_noise, AppProfile, PsiShape, TickTerms, Workload};
+use optum_trace::{hash_noise, mix, noise_key, AppProfile, PsiShape, TickTerms, Workload};
 
 use crate::admission::{Admission, Admit};
 use crate::appstats::AppStatsStore;
@@ -30,58 +30,29 @@ const ERO_STRIDE: u64 = 5;
 /// triple space is cubic).
 const TRIPLE_ERO_STRIDE: u64 = 25;
 
-/// Per-running-pod dynamic state.
-#[derive(Debug, Clone)]
-struct RunningState {
-    node: NodeId,
-    /// Wall-clock end for long-running pods.
-    end_tick: Option<Tick>,
-    /// Remaining work units for best-effort pods.
-    work_left: f64,
-    cpu_psi: PsiWindow,
-    mem_psi: PsiWindow,
-    worst_psi: f64,
-    max_pod_cpu_util: f64,
-    max_pod_mem_util: f64,
-    max_host_cpu_util: f64,
-    max_host_mem_util: f64,
-    util_sum: Resources,
-    util_ticks: u64,
-}
+/// Nanosecond counters of the stages of the `sim.physics` span, in pass
+/// order: per-app tick terms, raw usage, host clamp + `push_usage`,
+/// per-pod performance and state, ERO pairs/triples, completions. Timed
+/// once per tick each (see [`optum_obs::StageClock`]), so they add up
+/// to the span's self time.
+const PHYSICS_STAGES: [&str; 6] = [
+    "sim.physics.tick_terms_ns",
+    "sim.physics.raw_usage_ns",
+    "sim.physics.clamp_ns",
+    "sim.physics.per_pod_ns",
+    "sim.physics.ero_ns",
+    "sim.physics.completions_ns",
+];
+/// Counter of pod-ticks the physics pass has advanced.
+const PHYSICS_POD_TICKS: &str = "sim.physics.pod_ticks";
 
-impl RunningState {
-    fn snap_save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.node.0 as u64);
-        w.put_opt_u64(self.end_tick.map(|t| t.0));
-        w.put_f64(self.work_left);
-        w.put_psi(&self.cpu_psi);
-        w.put_psi(&self.mem_psi);
-        w.put_f64(self.worst_psi);
-        w.put_f64(self.max_pod_cpu_util);
-        w.put_f64(self.max_pod_mem_util);
-        w.put_f64(self.max_host_cpu_util);
-        w.put_f64(self.max_host_mem_util);
-        w.put_f64(self.util_sum.cpu);
-        w.put_f64(self.util_sum.mem);
-        w.put_u64(self.util_ticks);
-    }
-
-    fn snap_load(r: &mut SnapReader<'_>) -> Result<RunningState> {
-        Ok(RunningState {
-            node: NodeId(r.get_u64()? as u32),
-            end_tick: r.get_opt_u64()?.map(Tick),
-            work_left: r.get_f64()?,
-            cpu_psi: r.get_psi()?,
-            mem_psi: r.get_psi()?,
-            worst_psi: r.get_f64()?,
-            max_pod_cpu_util: r.get_f64()?,
-            max_pod_mem_util: r.get_f64()?,
-            max_host_cpu_util: r.get_f64()?,
-            max_host_mem_util: r.get_f64()?,
-            util_sum: Resources::new(r.get_f64()?, r.get_f64()?),
-            util_ticks: r.get_u64()?,
-        })
-    }
+/// What one tick's clamp stage leaves for the per-pod stage: a host's
+/// utilization and the factors that throttle its pods' raw usage.
+#[derive(Debug, Clone, Copy, Default)]
+struct HostTick {
+    util: Resources,
+    cpu_scale: f64,
+    mem_scale: f64,
 }
 
 /// Why a running pod is being removed from its node before
@@ -137,7 +108,9 @@ pub struct Simulator<'w, S: Scheduler> {
     /// Pending queue, BE throttle buffer and per-class ledger — the
     /// admission controller shared with the sharded engine.
     admission: Admission<PodId>,
-    running: Vec<Option<RunningState>>,
+    /// Per-pod host while running; the pod's running state is the
+    /// [`PodPhysics`] record on that node.
+    location: Vec<Option<NodeId>>,
     /// Remaining work of preempted BE pods awaiting re-placement.
     suspended_work: Vec<Option<f64>>,
     outcomes: Vec<PodOutcome>,
@@ -171,7 +144,11 @@ pub struct Simulator<'w, S: Scheduler> {
     eval_errors: Vec<(String, PredictionErrors)>,
     node_snapshot: Vec<crate::result::NodeSnapshot>,
     // Scratch buffers reused across ticks.
-    usage_scratch: Vec<(PodId, Resources, f64)>,
+    /// This tick's `(noise key, raw usage)` of every resident pod, in
+    /// node order then placement order.
+    usage_scratch: Vec<(u64, Resources)>,
+    /// This tick's clamp results (indexed by node).
+    host_scratch: Vec<HostTick>,
     app_group_scratch: Vec<(u32, f64, f64)>,
     completion_scratch: Vec<(PodId, usize)>,
     /// Per-app physics terms hoisted once per tick (indexed by app).
@@ -386,7 +363,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
             config,
             nodes,
             apps: AppStatsStore::new(n_apps),
-            running: vec![None; n_pods],
+            location: vec![None; n_pods],
             suspended_work: vec![None; n_pods],
             outcomes,
             next_arrival: 0,
@@ -408,6 +385,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
             eval_errors,
             node_snapshot: Vec::new(),
             usage_scratch: Vec::new(),
+            host_scratch: Vec::new(),
             app_group_scratch: Vec::new(),
             completion_scratch: Vec::new(),
             tick_terms_scratch: Vec::new(),
@@ -595,7 +573,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
 
     /// Pods currently placed and running.
     pub fn running_count(&self) -> usize {
-        self.running.iter().filter(|s| s.is_some()).count()
+        self.nodes.iter().map(NodeRuntime::pod_count).sum()
     }
 
     /// The admission/overload ledger accumulated so far.
@@ -1060,11 +1038,13 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
     /// and fault-driven kinds additionally arm a capped exponential
     /// restart backoff and feed the per-class recovery stats.
     fn evict(&mut self, pid: PodId, t: Tick, kind: EvictKind) {
-        let Some(state) = self.running[pid.index()].take() else {
+        let Some(node) = self.location[pid.index()].take() else {
             return;
         };
-        self.nodes[state.node.index()].remove_pod(pid);
-        let slo = self.workload.pods[pid.index()].spec.slo;
+        let (_, state) = self.nodes[node.index()]
+            .remove_pod(pid)
+            .expect("a located pod is resident on its node");
+        let slo = state.slo;
         self.suspended_work[pid.index()] = if !kind.keeps_progress() {
             None
         } else if slo == SloClass::Be {
@@ -1093,11 +1073,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
         }
         outcome.node = None;
         // Carry performance peaks across the eviction.
-        outcome.worst_psi = outcome.worst_psi.max(state.worst_psi);
-        outcome.max_pod_cpu_util = outcome.max_pod_cpu_util.max(state.max_pod_cpu_util);
-        outcome.max_pod_mem_util = outcome.max_pod_mem_util.max(state.max_pod_mem_util);
-        outcome.max_host_cpu_util = outcome.max_host_cpu_util.max(state.max_host_cpu_util);
-        outcome.max_host_mem_util = outcome.max_host_mem_util.max(state.max_host_mem_util);
+        outcome.absorb_peaks(&state);
         self.evicted_at[pid.index()] = Some(t);
         if kind.is_fault() {
             self.fault_evicted[pid.index()] = true;
@@ -1116,7 +1092,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
 
     fn place(&mut self, pid: PodId, node: NodeId, t: Tick) {
         debug_assert!(
-            self.running[pid.index()].is_none(),
+            self.location[pid.index()].is_none(),
             "pod must not be running and queued at once"
         );
         optum_obs::counter!("sim.placements");
@@ -1165,20 +1141,14 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
                 .unwrap_or(duration);
             Some(Tick(t.0.saturating_add(remaining)))
         };
-        self.running[pid.index()] = Some(RunningState {
-            node,
-            end_tick,
-            work_left,
-            cpu_psi: PsiWindow::ZERO,
-            mem_psi: PsiWindow::ZERO,
-            worst_psi: 0.0,
-            max_pod_cpu_util: 0.0,
-            max_pod_mem_util: 0.0,
-            max_host_cpu_util: 0.0,
-            max_host_mem_util: 0.0,
-            util_sum: Resources::ZERO,
-            util_ticks: 0,
-        });
+        let state = self.nodes[node.index()]
+            .physics_mut()
+            .last_mut()
+            .expect("add_pod appended the record");
+        state.input_factor = gen.input_factor;
+        state.end_tick = end_tick;
+        state.work_left = work_left;
+        self.location[pid.index()] = Some(node);
         let outcome = &mut self.outcomes[pid.index()];
         outcome.node = Some(node);
         if outcome.placed_at.is_none() {
@@ -1224,8 +1194,15 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
         (rank_u, rank_r)
     }
 
+    /// Advances every resident pod by one tick, stage by stage over all
+    /// nodes (each stage walks the nodes' [`PodPhysics`] records front
+    /// to back; [`PHYSICS_STAGES`] names the stages and their
+    /// counters). Floating-point reductions keep their order: nodes in
+    /// index order, pods in placement order.
     fn physics_pass(&mut self, t: Tick, sub_be: usize, sub_ls: usize) {
         let _physics = optum_obs::span!("sim.physics");
+        let mut stage = optum_obs::StageClock::start();
+        let [terms_ns, raw_usage_ns, clamp_ns, per_pod_ns, ero_ns, completions_ns] = PHYSICS_STAGES;
         let record_series = t.0.is_multiple_of(self.config.series_stride);
         let mut sum_cpu_util = 0.0;
         let mut sum_mem_util = 0.0;
@@ -1239,49 +1216,77 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
         let mut ls_util_sum = 0.0;
         let mut ls_count = 0usize;
         let mut ls_qps_sum = 0.0;
-        let mut running_count = 0usize;
         let mut down_nodes = 0usize;
-        // Reuse the completion buffer across ticks (borrowed out of
-        // `self` so pushes can happen while `self.running` is borrowed).
-        let mut completions = std::mem::take(&mut self.completion_scratch);
-        debug_assert!(completions.is_empty());
+        let workload = self.workload;
 
         // Hoist the per-(app, tick) physics terms once: the diurnal
         // curve reads and app-level factor products are shared by
-        // every pod of an app within this tick, and the cached
-        // variants are bit-identical to the scalar physics.
+        // every pod of an app within this tick. Likewise the tick's
+        // share of every noise key.
         self.tick_terms_scratch.clear();
         self.tick_terms_scratch
-            .extend(self.workload.apps.iter().map(|a| a.tick_terms(t)));
+            .extend(workload.apps.iter().map(|a| a.tick_terms(t)));
+        let mixed_tick = mix(t.0);
+        stage.lap(terms_ns);
 
-        for node_idx in 0..self.nodes.len() {
-            // A down node contributes no capacity and hosts no pods;
-            // it still pushes (zero) usage into its history so
-            // predictors and schedulers see the outage, but it is
-            // excluded from the violation denominator.
-            if self.nodes[node_idx].lifecycle == NodeLifecycle::Down {
-                self.churn.down_node_ticks += 1;
-                down_nodes += 1;
-                self.nodes[node_idx].push_usage(Resources::ZERO);
+        // Raw usage per resident pod. A down node hosts no pods.
+        self.usage_scratch.clear();
+        for node in &self.nodes {
+            if node.lifecycle == NodeLifecycle::Down {
                 continue;
             }
-            // Pass 1: raw usage per resident pod.
-            self.usage_scratch.clear();
-            {
-                let node = &self.nodes[node_idx];
-                for rp in node.pods() {
-                    let gen = &self.workload.pods[rp.id.index()];
-                    let app = self.workload.app_of(gen);
-                    let terms = &self.tick_terms_scratch[gen.spec.app.index()];
-                    let usage = Resources::new(
-                        app.pod_cpu_usage_cached(gen, t, terms),
-                        app.pod_mem_usage_cached(gen, t, terms),
+            debug_assert!(
+                node.physics().len() == node.pod_count()
+                    && node
+                        .physics()
+                        .iter()
+                        .zip(node.pods())
+                        .all(|(r, p)| r.id == p.id),
+                "physics records must be position-parallel to the pod list"
+            );
+            for rec in node.physics() {
+                let app = &workload.apps[rec.app.index()];
+                let terms = &self.tick_terms_scratch[rec.app.index()];
+                let key = noise_key(rec.id.0 as u64, mixed_tick);
+                let usage = Resources::new(
+                    app.pod_cpu_usage_keyed(key, rec.input_factor, terms),
+                    app.pod_mem_usage_keyed(key, terms),
+                );
+                if cfg!(debug_assertions) {
+                    let gen = &workload.pods[rec.id.index()];
+                    let spec = &gen.spec;
+                    assert!(
+                        (rec.app, rec.slo, rec.request) == (spec.app, spec.slo, spec.request)
+                            && usage.cpu.to_bits() == app.pod_cpu_usage(gen, t).to_bits()
+                            && usage.mem.to_bits() == app.pod_mem_usage(gen, t).to_bits(),
+                        "keyed usage of pod {} differs from the scalar physics at tick {}",
+                        rec.id.0,
+                        t.0
                     );
-                    self.usage_scratch.push((rp.id, usage, terms.qps_norm));
                 }
+                self.usage_scratch.push((key, usage));
             }
-            let raw: Resources = self.usage_scratch.iter().map(|(_, u, _)| *u).sum();
-            let cap = self.nodes[node_idx].effective_capacity();
+        }
+        stage.lap(raw_usage_ns);
+
+        // Host clamp. A down node contributes no capacity; it still
+        // pushes (zero) usage into its history so predictors and
+        // schedulers see the outage, but it is excluded from the
+        // violation denominator.
+        self.host_scratch.clear();
+        let mut at = 0;
+        for node in &mut self.nodes {
+            if node.lifecycle == NodeLifecycle::Down {
+                self.churn.down_node_ticks += 1;
+                down_nodes += 1;
+                node.push_usage(Resources::ZERO);
+                self.host_scratch.push(HostTick::default());
+                continue;
+            }
+            let resident = &self.usage_scratch[at..at + node.physics().len()];
+            at += resident.len();
+            let raw: Resources = resident.iter().map(|(_, u)| *u).sum();
+            let cap = node.effective_capacity();
             self.violations.total_node_ticks += 1;
             let cpu_scale = if raw.cpu > cap.cpu {
                 self.violations.cpu_node_ticks += 1;
@@ -1296,86 +1301,74 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
                 1.0
             };
             let clamped = Resources::new(raw.cpu.min(cap.cpu), raw.mem.min(cap.mem));
-            self.nodes[node_idx].push_usage(clamped);
-            let host_util = clamped.div(&cap);
-            sum_cpu_util += host_util.cpu;
-            sum_mem_util += host_util.mem;
-            max_cpu_util = max_cpu_util.max(host_util.cpu);
-            max_mem_util = max_mem_util.max(host_util.mem);
-            if !self.usage_scratch.is_empty() {
+            node.push_usage(clamped);
+            let util = clamped.div(&cap);
+            sum_cpu_util += util.cpu;
+            sum_mem_util += util.mem;
+            max_cpu_util = max_cpu_util.max(util.cpu);
+            max_mem_util = max_mem_util.max(util.mem);
+            if !resident.is_empty() {
                 active_nodes += 1;
-                active_cpu_util += host_util.cpu;
-                active_mem_util += host_util.mem;
+                active_cpu_util += util.cpu;
+                active_mem_util += util.mem;
             }
-            running_count += self.usage_scratch.len();
+            self.host_scratch.push(HostTick {
+                util,
+                cpu_scale,
+                mem_scale,
+            });
+        }
+        let running_count = at;
+        stage.lap(clamp_ns);
 
-            // Pass 2: per-pod performance, stats and training samples.
-            // ERO observations feed both offline training and the live
-            // profile source predictors read, so they are always on.
-            let collect_ero = t.0.is_multiple_of(ERO_STRIDE);
-            self.app_group_scratch.clear();
+        // Per-pod performance, stats and training samples.
+        // Reuse the completion buffer across ticks (borrowed out of
+        // `self` so `complete` can run while it is read).
+        let mut completions = std::mem::take(&mut self.completion_scratch);
+        debug_assert!(completions.is_empty());
+        let mut at = 0;
+        for (node_idx, node) in self.nodes.iter_mut().enumerate() {
+            if node.lifecycle == NodeLifecycle::Down {
+                continue;
+            }
+            let host = self.host_scratch[node_idx];
             // Node-level hoists: the memory-pressure base is
             // app-independent, and pods whose PSI sigmoids share
             // (beta, threshold) share the host-contention factor.
-            let mem_psi_node_base = AppProfile::mem_psi_base(host_util.mem);
+            let mem_psi_node_base = AppProfile::mem_psi_base(host.util.mem);
             self.contention_scratch.clear();
-            for i in 0..self.usage_scratch.len() {
-                let (pid, raw_usage, qps_norm) = self.usage_scratch[i];
-                let usage = Resources::new(raw_usage.cpu * cpu_scale, raw_usage.mem * mem_scale);
-                let gen = &self.workload.pods[pid.index()];
-                let app = self.workload.app_of(gen);
-                let request = gen.spec.request;
-                let pod_cpu_util = if request.cpu > 0.0 {
-                    usage.cpu / request.cpu
-                } else {
-                    0.0
-                };
-                let pod_mem_util = if request.mem > 0.0 {
-                    usage.mem / request.mem
-                } else {
-                    0.0
-                };
-                self.apps.observe(gen.spec.app, usage, request, qps_norm);
+            let resident = &self.usage_scratch[at..at + node.physics().len()];
+            at += resident.len();
+            for (state, &(key, raw_usage)) in node.physics_mut().iter_mut().zip(resident) {
+                let pid = state.id;
+                let usage = Resources::new(
+                    raw_usage.cpu * host.cpu_scale,
+                    raw_usage.mem * host.mem_scale,
+                );
+                let app = &workload.apps[state.app.index()];
+                let terms = &self.tick_terms_scratch[state.app.index()];
+                let pod_util = usage.div(&state.request);
+                self.apps
+                    .observe(state.app, usage, pod_util, terms.qps_norm);
 
-                if collect_ero {
-                    // Track the max-usage pod per app on this node.
-                    match self
-                        .app_group_scratch
-                        .iter_mut()
-                        .find(|(a, _, _)| *a == gen.spec.app.0)
-                    {
-                        Some(entry) => {
-                            if usage.cpu > entry.1 {
-                                entry.1 = usage.cpu;
-                                entry.2 = request.cpu;
-                            }
-                        }
-                        None => {
-                            self.app_group_scratch
-                                .push((gen.spec.app.0, usage.cpu, request.cpu))
-                        }
-                    }
-                }
-
-                let terms = self.tick_terms_scratch[gen.spec.app.index()];
-                let is_ls = gen.spec.slo.is_latency_sensitive();
-                let is_be = gen.spec.slo == SloClass::Be;
+                let is_ls = state.slo.is_latency_sensitive();
+                let is_be = state.slo == SloClass::Be;
                 if is_be {
-                    be_util_sum += pod_cpu_util;
+                    be_util_sum += pod_util.cpu;
                     be_count += 1;
                 } else if is_ls {
-                    ls_util_sum += pod_cpu_util;
+                    ls_util_sum += pod_util.cpu;
                     ls_count += 1;
-                    ls_qps_sum += app.pod_qps_cached(pid, t, &terms);
+                    ls_qps_sum += app.pod_qps_keyed(key, terms);
                 }
 
-                let shape = self.psi_shapes[gen.spec.app.index()];
+                let shape = &self.psi_shapes[state.app.index()];
                 let contention = match self.contention_scratch.iter().find(|(b, th, _)| {
                     *b == shape.beta.to_bits() && *th == shape.threshold.to_bits()
                 }) {
                     Some(&(_, _, c)) => c,
                     None => {
-                        let c = shape.contention(host_util.cpu);
+                        let c = shape.contention(host.util.cpu);
                         self.contention_scratch.push((
                             shape.beta.to_bits(),
                             shape.threshold.to_bits(),
@@ -1384,20 +1377,32 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
                         c
                     }
                 };
-                let state = self.running[pid.index()]
-                    .as_mut()
-                    .expect("resident pod must have running state");
-                let psi_inst =
-                    app.psi_instant_cached(pid, pod_cpu_util, &shape, contention, t, &terms);
+                let psi_inst = app.psi_instant_keyed(key, pod_util.cpu, shape, contention, terms);
+                let mem_psi_inst = app.mem_psi_instant_keyed(key, mem_psi_node_base);
+                if cfg!(debug_assertions) {
+                    let gen = &workload.pods[pid.index()];
+                    assert!(
+                        psi_inst.to_bits()
+                            == app
+                                .psi_instant(gen, pod_util.cpu, host.util.cpu, t)
+                                .to_bits()
+                            && mem_psi_inst.to_bits()
+                                == app.mem_psi_instant(pid, host.util.mem, t).to_bits()
+                            && app.pod_qps_keyed(key, terms).to_bits()
+                                == app.pod_qps(pid, t).to_bits(),
+                        "keyed PSI or QPS of pod {} differs from the scalar physics at tick {}",
+                        pid.0,
+                        t.0
+                    );
+                }
                 state.cpu_psi = PsiWindow::step(state.cpu_psi, psi_inst);
-                let mem_psi_inst = app.mem_psi_instant_cached(pid, mem_psi_node_base, t);
                 state.mem_psi = PsiWindow::step(state.mem_psi, mem_psi_inst);
                 state.worst_psi = state.worst_psi.max(state.cpu_psi.avg60);
-                state.max_pod_cpu_util = state.max_pod_cpu_util.max(pod_cpu_util);
-                state.max_pod_mem_util = state.max_pod_mem_util.max(pod_mem_util);
-                state.max_host_cpu_util = state.max_host_cpu_util.max(host_util.cpu);
-                state.max_host_mem_util = state.max_host_mem_util.max(host_util.mem);
-                state.util_sum += Resources::new(pod_cpu_util, pod_mem_util);
+                state.max_pod_cpu_util = state.max_pod_cpu_util.max(pod_util.cpu);
+                state.max_pod_mem_util = state.max_pod_mem_util.max(pod_util.mem);
+                state.max_host_cpu_util = state.max_host_cpu_util.max(host.util.cpu);
+                state.max_host_mem_util = state.max_host_mem_util.max(host.util.mem);
+                state.util_sum += pod_util;
                 state.util_ticks += 1;
 
                 // Training samples, strided and phase-shifted per pod so
@@ -1407,20 +1412,21 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
                     && (t.0 + pid.0 as u64).is_multiple_of(self.config.training_stride)
                 {
                     self.psi_samples.push(PsiSample {
-                        app: gen.spec.app,
-                        pod_cpu_util,
-                        pod_mem_util,
-                        host_cpu_util: host_util.cpu,
-                        host_mem_util: host_util.mem,
-                        qps_norm,
+                        app: state.app,
+                        pod_cpu_util: pod_util.cpu,
+                        pod_mem_util: pod_util.mem,
+                        host_cpu_util: host.util.cpu,
+                        host_mem_util: host.util.mem,
+                        qps_norm: terms.qps_norm,
                         psi: state.cpu_psi.avg60,
                     });
                 }
 
                 // Recorded series for sampled pods.
                 if record_series && self.sampled[pid.index()] {
+                    let gen = &workload.pods[pid.index()];
                     let rt = app.response_time(gen, state.cpu_psi.avg60, t);
-                    let qps = app.pod_qps_cached(pid, t, &terms);
+                    let qps = app.pod_qps_keyed(key, terms);
                     let noise = hash_noise(0xF00D, pid.0 as u64, t.0);
                     let (rx, tx) = if is_be {
                         (
@@ -1439,8 +1445,8 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
                         mem_psi: state.mem_psi,
                         qps,
                         response_time: rt,
-                        host_cpu_util: host_util.cpu,
-                        host_mem_util: host_util.mem,
+                        host_cpu_util: host.util.cpu,
+                        host_mem_util: host.util.mem,
                         rx,
                         tx,
                     });
@@ -1448,7 +1454,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
 
                 // Progress and completion.
                 if is_be {
-                    state.work_left -= app.be_progress_rate(host_util.cpu, host_util.mem);
+                    state.work_left -= app.be_progress_rate(host.util.cpu, host.util.mem);
                     if state.work_left <= 0.0 {
                         completions.push((pid, node_idx));
                     }
@@ -1456,12 +1462,40 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
                     completions.push((pid, node_idx));
                 }
             }
+        }
+        stage.lap(per_pod_ns);
 
-            if collect_ero {
-                for i in 0..self.app_group_scratch.len() {
-                    for j in (i + 1)..self.app_group_scratch.len() {
-                        let (a, ua, ra) = self.app_group_scratch[i];
-                        let (b, ub, rb) = self.app_group_scratch[j];
+        // ERO observations feed both offline training and the live
+        // profile source predictors read, so they are always on.
+        if t.0.is_multiple_of(ERO_STRIDE) {
+            let collect_triples =
+                self.config.collect_triple_ero && t.0.is_multiple_of(TRIPLE_ERO_STRIDE);
+            let mut at = 0;
+            for (node, host) in self.nodes.iter().zip(&self.host_scratch) {
+                if node.lifecycle == NodeLifecycle::Down {
+                    continue;
+                }
+                let resident = &self.usage_scratch[at..at + node.physics().len()];
+                at += resident.len();
+                // Track the max-usage pod per app on this node.
+                let g = &mut self.app_group_scratch;
+                g.clear();
+                for (rec, (_, raw_usage)) in node.physics().iter().zip(resident) {
+                    let cpu = raw_usage.cpu * host.cpu_scale;
+                    match g.iter_mut().find(|(a, _, _)| *a == rec.app.0) {
+                        Some(entry) => {
+                            if cpu > entry.1 {
+                                entry.1 = cpu;
+                                entry.2 = rec.request.cpu;
+                            }
+                        }
+                        None => g.push((rec.app.0, cpu, rec.request.cpu)),
+                    }
+                }
+                for i in 0..g.len() {
+                    for j in (i + 1)..g.len() {
+                        let (a, ua, ra) = g[i];
+                        let (b, ub, rb) = g[j];
                         if ra + rb > 0.0 {
                             self.apps.observe_pair(
                                 optum_types::AppId(a),
@@ -1471,8 +1505,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
                         }
                     }
                 }
-                if self.config.collect_triple_ero && t.0.is_multiple_of(TRIPLE_ERO_STRIDE) {
-                    let g = &self.app_group_scratch;
+                if collect_triples {
                     for i in 0..g.len() {
                         for j in (i + 1)..g.len() {
                             for k in (j + 1)..g.len() {
@@ -1491,12 +1524,15 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
                 }
             }
         }
+        stage.lap(ero_ns);
 
         for &(pid, node_idx) in &completions {
             self.complete(pid, node_idx, t);
         }
         completions.clear();
         self.completion_scratch = completions;
+        stage.lap(completions_ns);
+        optum_obs::counter!(PHYSICS_POD_TICKS, running_count as u64);
 
         if record_series {
             let n = self.nodes.len() as f64;
@@ -1535,36 +1571,27 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
     }
 
     fn complete(&mut self, pid: PodId, node_idx: usize, t: Tick) {
-        let Some(state) = self.running[pid.index()].take() else {
+        let Some((_, state)) = self.nodes[node_idx].remove_pod(pid) else {
             return;
         };
-        self.nodes[node_idx].remove_pod(pid);
+        self.location[pid.index()] = None;
         if self.events_enabled {
             self.ev_completed.push(pid);
         }
-        let gen = &self.workload.pods[pid.index()];
         let outcome = &mut self.outcomes[pid.index()];
         outcome.completed_at = Some(t);
         if let Some(placed) = outcome.placed_at {
             outcome.actual_duration = Some(t.saturating_since(placed) + 1);
         }
-        outcome.worst_psi = outcome.worst_psi.max(state.worst_psi);
-        outcome.max_pod_cpu_util = outcome.max_pod_cpu_util.max(state.max_pod_cpu_util);
-        outcome.max_pod_mem_util = outcome.max_pod_mem_util.max(state.max_pod_mem_util);
-        outcome.max_host_cpu_util = outcome.max_host_cpu_util.max(state.max_host_cpu_util);
-        outcome.max_host_mem_util = outcome.max_host_mem_util.max(state.max_host_mem_util);
-        if state.util_ticks > 0 {
-            let mean = state.util_sum.scale(1.0 / state.util_ticks as f64);
-            outcome.mean_pod_cpu_util = mean.cpu;
-            outcome.mean_pod_mem_util = mean.mem;
-        }
+        outcome.absorb_peaks(&state);
+        outcome.absorb_mean_util(&state);
 
         // Completion-time training sample for BE pods.
-        if self.config.collect_training && gen.spec.slo == SloClass::Be {
+        if self.config.collect_training && state.slo == SloClass::Be {
             if let (Some(actual), nominal) = (outcome.actual_duration, outcome.nominal_duration) {
                 if nominal > 0 {
                     self.ct_samples.push(CtSample {
-                        app: gen.spec.app,
+                        app: state.app,
                         max_pod_cpu_util: outcome.max_pod_cpu_util,
                         max_pod_mem_util: outcome.max_pod_mem_util,
                         max_host_cpu_util: outcome.max_host_cpu_util,
@@ -1661,20 +1688,10 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
         }
         self.admission.close();
         // Pods still running: flush their peaks into outcomes.
-        for pid in 0..self.running.len() {
-            if let Some(state) = self.running[pid].take() {
-                let o = &mut self.outcomes[pid];
-                o.worst_psi = o.worst_psi.max(state.worst_psi);
-                o.max_pod_cpu_util = o.max_pod_cpu_util.max(state.max_pod_cpu_util);
-                o.max_pod_mem_util = o.max_pod_mem_util.max(state.max_pod_mem_util);
-                o.max_host_cpu_util = o.max_host_cpu_util.max(state.max_host_cpu_util);
-                o.max_host_mem_util = o.max_host_mem_util.max(state.max_host_mem_util);
-                if state.util_ticks > 0 {
-                    let mean = state.util_sum.scale(1.0 / state.util_ticks as f64);
-                    o.mean_pod_cpu_util = mean.cpu;
-                    o.mean_pod_mem_util = mean.mem;
-                }
-            }
+        for state in self.nodes.iter().flat_map(|n| n.physics()) {
+            let o = &mut self.outcomes[state.id.index()];
+            o.absorb_peaks(state);
+            o.absorb_mean_util(state);
         }
     }
 
@@ -1796,12 +1813,18 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
         self.apps.snap_save(&mut w);
         // Per-pod state (all vectors are indexed by pod id and sized
         // to the workload, so only the values are stored).
-        w.put_u64(self.running.len() as u64);
-        for state in &self.running {
-            match state {
-                Some(s) => {
+        w.put_u64(self.location.len() as u64);
+        for (pid, host) in self.location.iter().enumerate() {
+            match host {
+                Some(node) => {
+                    let state = self.nodes[node.index()]
+                        .physics()
+                        .iter()
+                        .find(|s| s.id.index() == pid)
+                        .expect("a located pod is resident on its node");
                     w.put_u64(1);
-                    s.snap_save(&mut w);
+                    w.put_u64(node.0 as u64);
+                    state.snap_save_state(&mut w);
                 }
                 None => w.put_u64(0),
             }
@@ -2015,12 +2038,32 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
                 "snapshot covers {n_running} pods but the workload has {n_pods}"
             )));
         }
-        for slot in self.running.iter_mut() {
-            *slot = if r.get_u64()? != 0 {
-                Some(RunningState::snap_load(&mut r)?)
-            } else {
-                None
-            };
+        // The nodes' records were rebuilt by `add_pod` above; each
+        // running slot names its node and carries the record's state.
+        for (slot, gen) in self.location.iter_mut().zip(&self.workload.pods) {
+            *slot = None;
+            if r.get_u64()? == 0 {
+                continue;
+            }
+            let node = r.get_u64()? as usize;
+            let state = self
+                .nodes
+                .get_mut(node)
+                .and_then(|n| n.physics_mut().iter_mut().find(|s| s.id == gen.spec.id))
+                .ok_or_else(|| {
+                    Error::InvalidData(format!(
+                        "snapshot corrupt: running pod {} is not resident on node {node}",
+                        gen.spec.id.0
+                    ))
+                })?;
+            state.snap_load_state(&mut r)?;
+            state.input_factor = gen.input_factor;
+            *slot = Some(NodeId(node as u32));
+        }
+        if self.running_count() != self.location.iter().flatten().count() {
+            return Err(Error::InvalidData(
+                "snapshot corrupt: a resident pod has no running state".into(),
+            ));
         }
         for slot in self.suspended_work.iter_mut() {
             *slot = r.get_opt_f64()?;
@@ -2129,6 +2172,34 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
         Ok(())
     }
 }
+
+/// Renders the stage budget of the `sim.physics` span from a snapshot:
+/// each stage's total, its share of the span's self time and its cost
+/// per pod-tick. `None` when the snapshot holds no physics pass.
+pub fn physics_stage_table(snap: &optum_obs::Snapshot) -> Option<String> {
+    let self_ns = snap.span("sim.physics")?.self_ns.max(1) as f64;
+    let pod_ticks = snap.counter(PHYSICS_POD_TICKS)?.max(1) as f64;
+    let mut out = format!(
+        "{:<28} {:>11} {:>7} {:>12}\n",
+        "sim.physics stage", "total_ms", "share", "ns/pod-tick"
+    );
+    let mut row = |name: &str, ns: f64| {
+        out.push_str(&format!(
+            "{name:<28} {:>11.3} {:>6.1}% {:>12.2}\n",
+            ns / 1.0e6,
+            100.0 * ns / self_ns,
+            ns / pod_ticks
+        ));
+    };
+    for name in PHYSICS_STAGES {
+        row(name, snap.counter(name).unwrap_or(0) as f64);
+    }
+    row("sim.physics (span self time)", self_ns);
+    Some(out)
+}
+
+#[cfg(test)]
+mod record_props;
 
 #[cfg(test)]
 mod tests {

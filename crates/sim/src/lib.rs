@@ -37,8 +37,8 @@ pub use checkpoint::{
     read_snapshot_file, write_snapshot_file, Fingerprint, SnapReader, SnapWriter,
 };
 pub use config::{PredictorEval, SimConfig};
-pub use engine::{Simulator, StepOutbox, SubmitEntry};
-pub use node::{NodeRuntime, ResidentPod};
+pub use engine::{physics_stage_table, Simulator, StepOutbox, SubmitEntry};
+pub use node::{NodeRuntime, PodPhysics, ResidentPod};
 pub use result::{
     ChurnStats, ClassChurn, ClassOverload, ClusterTickStats, NodeSnapshot, OverloadStats,
     PodOutcome, PodPoint, SimResult, ViolationStats,

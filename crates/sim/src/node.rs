@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use optum_predictors::PodInfo;
-use optum_types::{AppId, NodeLifecycle, NodeSpec, PodId, Resources, SloClass, Tick};
+use optum_types::{AppId, NodeLifecycle, NodeSpec, PodId, PsiWindow, Resources, SloClass, Tick};
 
 /// A pod resident on a node, as the node tracks it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -20,6 +20,111 @@ pub struct ResidentPod {
     pub limit: Resources,
     /// When the pod was placed here.
     pub placed_at: Tick,
+}
+
+/// What the physics pass reads and writes for one resident pod: the
+/// constants it needs every tick and the pod's running state, kept with
+/// the node so the pass walks them front to back instead of looking
+/// each pod up by id.
+///
+/// [`NodeRuntime::add_pod`] creates the record from the [`ResidentPod`]
+/// with fresh running state; the engine then sets what only it knows
+/// (`input_factor`, `end_tick`, `work_left`) and is the only writer
+/// afterwards (through the crate-private `NodeRuntime::physics_mut`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PodPhysics {
+    /// Pod identity (equal to the [`ResidentPod`] in the same position).
+    pub id: PodId,
+    /// Owning application.
+    pub app: AppId,
+    /// SLO class.
+    pub slo: SloClass,
+    /// Resource request.
+    pub request: Resources,
+    /// The pod's input-size factor on CPU usage (`1.0` until the
+    /// engine fills it from the workload).
+    pub input_factor: f64,
+    /// Wall-clock end for long-running pods.
+    pub end_tick: Option<Tick>,
+    /// Remaining work units for best-effort pods.
+    pub work_left: f64,
+    /// CPU pressure windows.
+    pub cpu_psi: PsiWindow,
+    /// Memory pressure windows.
+    pub mem_psi: PsiWindow,
+    /// Worst 60 s CPU pressure since placement.
+    pub worst_psi: f64,
+    /// Peak pod CPU utilization since placement.
+    pub max_pod_cpu_util: f64,
+    /// Peak pod memory utilization since placement.
+    pub max_pod_mem_util: f64,
+    /// Peak host CPU utilization since placement.
+    pub max_host_cpu_util: f64,
+    /// Peak host memory utilization since placement.
+    pub max_host_mem_util: f64,
+    /// Sum of per-tick pod utilizations since placement.
+    pub util_sum: Resources,
+    /// Ticks accumulated into `util_sum`.
+    pub util_ticks: u64,
+}
+
+impl PodPhysics {
+    fn fresh(pod: &ResidentPod) -> PodPhysics {
+        PodPhysics {
+            id: pod.id,
+            app: pod.app,
+            slo: pod.slo,
+            request: pod.request,
+            input_factor: 1.0,
+            end_tick: None,
+            work_left: 0.0,
+            cpu_psi: PsiWindow::ZERO,
+            mem_psi: PsiWindow::ZERO,
+            worst_psi: 0.0,
+            max_pod_cpu_util: 0.0,
+            max_pod_mem_util: 0.0,
+            max_host_cpu_util: 0.0,
+            max_host_mem_util: 0.0,
+            util_sum: Resources::ZERO,
+            util_ticks: 0,
+        }
+    }
+
+    /// Serializes the running state (the constants are rebuilt from
+    /// the resident pod and the workload at restore time).
+    pub(crate) fn snap_save_state(&self, w: &mut crate::checkpoint::SnapWriter) {
+        w.put_opt_u64(self.end_tick.map(|t| t.0));
+        w.put_f64(self.work_left);
+        w.put_psi(&self.cpu_psi);
+        w.put_psi(&self.mem_psi);
+        w.put_f64(self.worst_psi);
+        w.put_f64(self.max_pod_cpu_util);
+        w.put_f64(self.max_pod_mem_util);
+        w.put_f64(self.max_host_cpu_util);
+        w.put_f64(self.max_host_mem_util);
+        w.put_f64(self.util_sum.cpu);
+        w.put_f64(self.util_sum.mem);
+        w.put_u64(self.util_ticks);
+    }
+
+    /// Restores the running state from a checkpoint section.
+    pub(crate) fn snap_load_state(
+        &mut self,
+        r: &mut crate::checkpoint::SnapReader<'_>,
+    ) -> optum_types::Result<()> {
+        self.end_tick = r.get_opt_u64()?.map(Tick);
+        self.work_left = r.get_f64()?;
+        self.cpu_psi = r.get_psi()?;
+        self.mem_psi = r.get_psi()?;
+        self.worst_psi = r.get_f64()?;
+        self.max_pod_cpu_util = r.get_f64()?;
+        self.max_pod_mem_util = r.get_f64()?;
+        self.max_host_cpu_util = r.get_f64()?;
+        self.max_host_mem_util = r.get_f64()?;
+        self.util_sum = Resources::new(r.get_f64()?, r.get_f64()?);
+        self.util_ticks = r.get_u64()?;
+        Ok(())
+    }
 }
 
 /// Runtime state of one physical host.
@@ -45,6 +150,8 @@ pub struct NodeRuntime {
     pods: Vec<ResidentPod>,
     /// Parallel predictor-facing view of `pods`.
     infos: Vec<PodInfo>,
+    /// Parallel physics records of `pods`.
+    physics: Vec<PodPhysics>,
     /// See [`Self::pods_version`].
     pods_version: u64,
     /// Sum of resident requests.
@@ -94,6 +201,7 @@ impl NodeRuntime {
             degrade: 1.0,
             pods: Vec::new(),
             infos: Vec::new(),
+            physics: Vec::new(),
             pods_version: EMPTY_PODS_VERSION,
             requested: Resources::ZERO,
             requested_be: Resources::ZERO,
@@ -166,15 +274,18 @@ impl NodeRuntime {
             request: pod.request,
             limit: pod.limit,
         });
+        self.physics.push(PodPhysics::fresh(&pod));
         self.pods.push(pod);
         self.bump_pods_version();
     }
 
-    /// Removes a pod (completion or preemption); returns it when found.
-    pub fn remove_pod(&mut self, id: PodId) -> Option<ResidentPod> {
+    /// Removes a pod (completion or eviction); returns it with its
+    /// physics record when found.
+    pub fn remove_pod(&mut self, id: PodId) -> Option<(ResidentPod, PodPhysics)> {
         let idx = self.pods.iter().position(|p| p.id == id)?;
         let pod = self.pods.remove(idx);
         self.infos.remove(idx);
+        let physics = self.physics.remove(idx);
         self.bump_pods_version();
         self.requested -= pod.request;
         if pod.slo == SloClass::Be {
@@ -187,7 +298,7 @@ impl NodeRuntime {
             self.requested_be = Resources::ZERO;
             self.limits = Resources::ZERO;
         }
-        Some(pod)
+        Some((pod, physics))
     }
 
     /// Records the node's actual usage for this tick and slides the
@@ -251,6 +362,19 @@ impl NodeRuntime {
     /// Predictor-facing pod list, in placement order.
     pub fn pod_infos(&self) -> &[PodInfo] {
         &self.infos
+    }
+
+    /// Physics records of the resident pods, position-parallel to
+    /// [`Self::pods`].
+    pub fn physics(&self) -> &[PodPhysics] {
+        &self.physics
+    }
+
+    /// The records for the engine to advance. Only their state and
+    /// engine-filled fields may change; the list itself changes through
+    /// [`Self::add_pod`] and [`Self::remove_pod`] alone.
+    pub(crate) fn physics_mut(&mut self) -> &mut [PodPhysics] {
+        &mut self.physics
     }
 
     /// Current utilization (usage relative to capacity).
@@ -373,8 +497,11 @@ mod tests {
         n.add_pod(pod(2, 0.3, 0.2));
         assert_eq!(n.requested, Resources::new(0.5, 0.30000000000000004));
         assert_eq!(n.pod_infos().len(), 2);
-        let removed = n.remove_pod(PodId(1)).unwrap();
+        n.physics_mut()[0].work_left = 7.0;
+        let (removed, physics) = n.remove_pod(PodId(1)).unwrap();
         assert_eq!(removed.id, PodId(1));
+        assert_eq!((physics.id, physics.work_left), (PodId(1), 7.0));
+        assert_eq!(n.physics()[0].id, PodId(2));
         assert!((n.requested.cpu - 0.3).abs() < 1e-12);
         assert_eq!(n.pod_infos()[0].request.cpu, 0.3);
         assert!(n.remove_pod(PodId(9)).is_none());

@@ -72,6 +72,25 @@ pub struct PodOutcome {
 }
 
 impl PodOutcome {
+    /// Folds a placement's performance peaks into the outcome (peaks
+    /// carry across evictions).
+    pub(crate) fn absorb_peaks(&mut self, state: &crate::node::PodPhysics) {
+        self.worst_psi = self.worst_psi.max(state.worst_psi);
+        self.max_pod_cpu_util = self.max_pod_cpu_util.max(state.max_pod_cpu_util);
+        self.max_pod_mem_util = self.max_pod_mem_util.max(state.max_pod_mem_util);
+        self.max_host_cpu_util = self.max_host_cpu_util.max(state.max_host_cpu_util);
+        self.max_host_mem_util = self.max_host_mem_util.max(state.max_host_mem_util);
+    }
+
+    /// Records the mean pod utilization of the pod's last placement.
+    pub(crate) fn absorb_mean_util(&mut self, state: &crate::node::PodPhysics) {
+        if state.util_ticks > 0 {
+            let mean = state.util_sum.scale(1.0 / state.util_ticks as f64);
+            self.mean_pod_cpu_util = mean.cpu;
+            self.mean_pod_mem_util = mean.mem;
+        }
+    }
+
     /// Waiting time in seconds.
     pub fn wait_seconds(&self) -> f64 {
         self.wait_ticks as f64 * optum_types::TICK_SECONDS as f64

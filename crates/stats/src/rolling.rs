@@ -37,6 +37,7 @@ impl RollingWindow {
     }
 
     /// Appends a sample, evicting the oldest when full.
+    #[inline]
     pub fn push(&mut self, x: f64) {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();

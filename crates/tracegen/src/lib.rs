@@ -34,7 +34,7 @@ pub mod workload;
 
 pub use arrivals::{arrival_schedule, rescale_arrivals};
 pub use config::WorkloadConfig;
-pub use physics::{affinity_allows, hash_noise};
+pub use physics::{affinity_allows, hash_noise, keyed_noise, mix, noise_key};
 pub use population::{AppKind, AppProfile, BeParams, LsParams, PsiShape, TickTerms};
 pub use scale::{generate_scale, ScalePod, ScaleWorkloadConfig, SCALE_CHANNEL};
 pub use storm::{apply_storm, ClassMix, StormConfig, StormWindow, STORM_CHANNEL};

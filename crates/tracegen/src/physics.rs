@@ -8,6 +8,30 @@
 
 use optum_types::SplitMix64;
 
+/// One SplitMix64 step: the first output of the stream seeded `z`.
+#[inline]
+pub fn mix(z: u64) -> u64 {
+    SplitMix64::new(z).next_u64()
+}
+
+/// The part of [`hash_noise`] that does not depend on the seed:
+/// `mix(a ^ mixed_b)` with `mixed_b = mix(b)`. The simulator hoists
+/// `mix(tick)` once per tick and this key once per pod-tick; every
+/// draw for that pod and tick is then one [`keyed_noise`].
+#[inline]
+pub fn noise_key(a: u64, mixed_b: u64) -> u64 {
+    mix(a ^ mixed_b)
+}
+
+/// The draw in `[0, 1)` of `seed` under a [`noise_key`]:
+/// `keyed_noise(seed, noise_key(a, mix(b)))` is `hash_noise(seed, a, b)`
+/// by definition.
+#[inline]
+pub fn keyed_noise(seed: u64, key: u64) -> f64 {
+    // Take the top 53 bits for a uniform double in [0, 1).
+    (mix(seed ^ key) >> 11) as f64 / (1u64 << 53) as f64
+}
+
 /// A deterministic pseudo-random value in `[0, 1)` keyed by
 /// `(seed, a, b)`.
 ///
@@ -21,20 +45,25 @@ use optum_types::SplitMix64;
 /// assert_eq!(u, hash_noise(7, 3, 100));
 /// assert_ne!(u, hash_noise(7, 3, 101));
 /// ```
+#[inline]
 pub fn hash_noise(seed: u64, a: u64, b: u64) -> f64 {
-    // One SplitMix64 step: the first output of the stream seeded `z`.
-    let mix = |z: u64| SplitMix64::new(z).next_u64();
-    let h = mix(seed ^ mix(a ^ mix(b)));
-    // Take the top 53 bits for a uniform double in [0, 1).
-    (h >> 11) as f64 / (1u64 << 53) as f64
+    keyed_noise(seed, noise_key(a, mix(b)))
+}
+
+/// Maps a draw in `[0, 1)` to `[-amplitude, +amplitude]`.
+#[inline]
+pub(crate) fn signed(unit: f64, amplitude: f64) -> f64 {
+    (unit * 2.0 - 1.0) * amplitude
 }
 
 /// A deterministic value in `[-amplitude, +amplitude]`.
+#[inline]
 pub fn hash_noise_signed(seed: u64, a: u64, b: u64, amplitude: f64) -> f64 {
-    (hash_noise(seed, a, b) * 2.0 - 1.0) * amplitude
+    signed(hash_noise(seed, a, b), amplitude)
 }
 
 /// Logistic sigmoid, the saturating nonlinearity of the PSI physics.
+#[inline]
 pub fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
 }
@@ -85,6 +114,17 @@ mod tests {
         for seed in [0u64, 42, u64::MAX] {
             for (a, b) in [(0u64, 0u64), (3, 100), (u64::MAX, 7)] {
                 grid.push(hash_noise(seed, a, b).to_bits());
+            }
+        }
+        assert_eq!(grid, PINNED_NOISE_BITS);
+    }
+
+    #[test]
+    fn keyed_noise_is_hash_noise_on_the_pinned_vectors() {
+        let mut grid = Vec::new();
+        for seed in [0u64, 42, u64::MAX] {
+            for (a, b) in [(0u64, 0u64), (3, 100), (u64::MAX, 7)] {
+                grid.push(keyed_noise(seed, noise_key(a, mix(b))).to_bits());
             }
         }
         assert_eq!(grid, PINNED_NOISE_BITS);

@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 use optum_stats::{BoundedPareto, Diurnal};
 use optum_types::{AppId, PodId, PodSpec, SloClass, Tick};
 
-use crate::physics::{hash_noise, hash_noise_signed, sigmoid};
+use crate::physics::{hash_noise, hash_noise_signed, keyed_noise, sigmoid, signed};
 
 /// Parameters of a latency-sensitive (LS/LSR) application.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -135,7 +135,7 @@ pub struct AppProfile {
 /// Per-(app, tick) physics terms, hoisted out of the per-pod hot loops
 /// by [`AppProfile::tick_terms`]. Every field is an intermediate value
 /// of the scalar physics methods, grouped exactly as those methods
-/// group their multiplications, so the `*_cached` variants are
+/// group their multiplications, so the `*_keyed` variants are
 /// bit-identical to the originals.
 #[derive(Debug, Clone, Copy)]
 pub struct TickTerms {
@@ -174,6 +174,7 @@ impl PsiShape {
     /// The host-contention sigmoid — a pure function of the host CPU
     /// utilization and `(beta, threshold)`, so pods sharing a shape on
     /// one host share the value.
+    #[inline]
     pub fn contention(&self, host_cpu_util: f64) -> f64 {
         sigmoid(self.beta * (host_cpu_util - self.threshold))
     }
@@ -222,7 +223,7 @@ impl AppProfile {
 
     /// Hoists the per-tick terms of this app's physics: the diurnal
     /// curve reads (one `sin` each) and the app-level factor products,
-    /// shared by every pod of the app within one tick. The `*_cached`
+    /// shared by every pod of the app within one tick. The `*_keyed`
     /// methods consume the result and are bit-identical to their
     /// scalar counterparts.
     pub fn tick_terms(&self, t: Tick) -> TickTerms {
@@ -278,77 +279,68 @@ impl AppProfile {
         }
     }
 
-    /// [`AppProfile::pod_qps`] from hoisted terms.
-    pub fn pod_qps_cached(&self, pod: PodId, t: Tick, terms: &TickTerms) -> f64 {
-        let noise = hash_noise_signed(self.seed, pod.0 as u64, t.0, 0.05);
+    /// [`AppProfile::pod_qps`] from hoisted terms and the pod-tick's
+    /// noise key ([`crate::noise_key`] of the pod id and `mix(tick)`).
+    #[inline]
+    pub fn pod_qps_keyed(&self, key: u64, terms: &TickTerms) -> f64 {
+        let noise = signed(keyed_noise(self.seed, key), 0.05);
         (terms.qps_at * (1.0 + noise)).max(0.0)
     }
 
     /// [`AppProfile::pod_cpu_usage`] from hoisted terms: only the
-    /// per-pod noise and factors remain.
-    pub fn pod_cpu_usage_cached(&self, pod: &GeneratedPod, t: Tick, terms: &TickTerms) -> f64 {
-        let id = pod.spec.id.0 as u64;
+    /// per-pod noise and input factor remain.
+    #[inline]
+    pub fn pod_cpu_usage_keyed(&self, key: u64, input_factor: f64, terms: &TickTerms) -> f64 {
+        let unit = keyed_noise(self.seed, key);
         let raw = match &self.kind {
-            AppKind::Ls(_) => {
-                let noise = 1.0 + hash_noise_signed(self.seed, id, t.0, 0.08);
-                terms.cpu_base * pod.input_factor * noise
-            }
-            AppKind::Be(_) => {
-                let noise = 1.0 + hash_noise_signed(self.seed, id, t.0, 0.1);
-                terms.cpu_base * pod.input_factor * noise
-            }
-            AppKind::Other(_) => {
-                let noise = 1.0 + hash_noise_signed(self.seed, id, t.0, 0.05);
-                terms.cpu_base * noise
-            }
+            AppKind::Ls(_) => terms.cpu_base * input_factor * (1.0 + signed(unit, 0.08)),
+            AppKind::Be(_) => terms.cpu_base * input_factor * (1.0 + signed(unit, 0.1)),
+            AppKind::Other(_) => terms.cpu_base * (1.0 + signed(unit, 0.05)),
         };
         raw.clamp(0.0, self.cpu_request * self.limit_factor)
     }
 
     /// [`AppProfile::pod_mem_usage`] from hoisted terms.
-    pub fn pod_mem_usage_cached(&self, pod: &GeneratedPod, t: Tick, terms: &TickTerms) -> f64 {
-        let id = pod.spec.id.0 as u64;
-        let raw = match &self.kind {
-            AppKind::Ls(_) => {
-                let noise = 1.0 + hash_noise_signed(self.seed.wrapping_add(1), id, t.0, 0.005);
-                terms.mem_base * noise
-            }
-            AppKind::Be(_) | AppKind::Other(_) => {
-                let noise = 1.0 + hash_noise_signed(self.seed.wrapping_add(1), id, t.0, 0.01);
-                terms.mem_base * noise
-            }
+    #[inline]
+    pub fn pod_mem_usage_keyed(&self, key: u64, terms: &TickTerms) -> f64 {
+        let amplitude = match &self.kind {
+            AppKind::Ls(_) => 0.005,
+            AppKind::Be(_) | AppKind::Other(_) => 0.01,
         };
-        raw.clamp(0.0, self.mem_request * self.limit_factor)
+        let noise = 1.0 + signed(keyed_noise(self.seed.wrapping_add(1), key), amplitude);
+        (terms.mem_base * noise).clamp(0.0, self.mem_request * self.limit_factor)
     }
 
     /// [`AppProfile::psi_instant`] from hoisted terms and a memoized
     /// host-contention factor (`shape.contention(host_cpu_util)` for
     /// this app's [`PsiShape`]).
-    pub fn psi_instant_cached(
+    #[inline]
+    pub fn psi_instant_keyed(
         &self,
-        pod: PodId,
+        key: u64,
         pod_cpu_util: f64,
         shape: &PsiShape,
         contention: f64,
-        t: Tick,
         terms: &TickTerms,
     ) -> f64 {
         let pod_rel = (pod_cpu_util / shape.denom).clamp(0.0, 1.0);
         let demand = 0.25 + 0.75 * pod_rel;
-        let noise = hash_noise(self.seed.wrapping_add(2), pod.0 as u64, t.0) * 0.006;
+        let noise = keyed_noise(self.seed.wrapping_add(2), key) * 0.006;
         (shape.sens * contention * demand * terms.qps_term + noise).clamp(0.0, 1.0)
     }
 
     /// Node-level memory-pressure base of [`AppProfile::
     /// mem_psi_instant`] — a pure function of the host memory
     /// utilization, identical for every pod on the host.
+    #[inline]
     pub fn mem_psi_base(host_mem_util: f64) -> f64 {
         0.08 * sigmoid(25.0 * (host_mem_util - 0.92))
     }
 
     /// [`AppProfile::mem_psi_instant`] from the hoisted node base.
-    pub fn mem_psi_instant_cached(&self, pod: PodId, base: f64, t: Tick) -> f64 {
-        let noise = hash_noise(self.seed.wrapping_add(3), pod.0 as u64, t.0) * 0.01;
+    #[inline]
+    pub fn mem_psi_instant_keyed(&self, key: u64, base: f64) -> f64 {
+        let noise = keyed_noise(self.seed.wrapping_add(3), key) * 0.01;
         (base + noise).clamp(0.0, 1.0)
     }
 
@@ -466,6 +458,7 @@ impl AppProfile {
     /// host, lower as CPU/memory utilization rise. Completion time is
     /// the wall-clock needed to integrate `nominal_duration` units of
     /// progress, so a rate of 0.5 doubles the completion time.
+    #[inline]
     pub fn be_progress_rate(&self, host_cpu_util: f64, host_mem_util: f64) -> f64 {
         let AppKind::Be(p) = &self.kind else {
             return 1.0;
@@ -679,53 +672,53 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cached_physics_is_bit_identical() {
-        // The hoisted-term variants must reproduce the scalar physics
-        // exactly — same multiplication grouping, same noise draws —
-        // across classes, ticks, and host states.
-        for app in [ls_profile(), be_profile(), other_profile()] {
+    proptest::proptest! {
+        /// Every keyed form reproduces its scalar reference in every
+        /// bit — same multiplication grouping, same noise draws —
+        /// across app kinds, seeds, pods, ticks and host states. A
+        /// draw keyed with the wrong `seed + k` fails here.
+        #[test]
+        fn keyed_physics_is_bit_identical(
+            kind in 0usize..3,
+            seed in proptest::any::<u64>(),
+            pod_id in proptest::any::<u32>(),
+            tick in 0u64..200_000,
+            input_factor in 0.05f64..8.0,
+            host_cpu in 0f64..1.0,
+            host_mem in 0f64..1.0,
+            pod_util in 0f64..2.5,
+        ) {
+            let mut app = [ls_profile(), be_profile(), other_profile()][kind].clone();
+            app.seed = seed;
+            let mut p = pod(&app, pod_id);
+            p.input_factor = input_factor;
+            let t = Tick(tick);
+            let terms = app.tick_terms(t);
             let shape = app.psi_shape();
-            for tick in [0u64, 17, 360, 1441, 50_000] {
-                let t = Tick(tick);
-                let terms = app.tick_terms(t);
-                assert_eq!(terms.qps_at.to_bits(), app.qps_at(t).to_bits());
-                assert_eq!(terms.qps_norm.to_bits(), app.qps_norm(t).to_bits());
-                for pod_id in [1u32, 8, 1023] {
-                    let p = pod(&app, pod_id);
-                    assert_eq!(
-                        app.pod_cpu_usage_cached(&p, t, &terms).to_bits(),
-                        app.pod_cpu_usage(&p, t).to_bits()
-                    );
-                    assert_eq!(
-                        app.pod_mem_usage_cached(&p, t, &terms).to_bits(),
-                        app.pod_mem_usage(&p, t).to_bits()
-                    );
-                    assert_eq!(
-                        app.pod_qps_cached(p.spec.id, t, &terms).to_bits(),
-                        app.pod_qps(p.spec.id, t).to_bits()
-                    );
-                    for host_cpu in [0.05, 0.5, 0.93] {
-                        for pod_util in [0.0, 0.2, 0.9] {
-                            let contention = shape.contention(host_cpu);
-                            assert_eq!(
-                                app.psi_instant_cached(
-                                    p.spec.id, pod_util, &shape, contention, t, &terms
-                                )
-                                .to_bits(),
-                                app.psi_instant(&p, pod_util, host_cpu, t).to_bits()
-                            );
-                        }
-                    }
-                    for host_mem in [0.3, 0.91, 0.99] {
-                        let base = AppProfile::mem_psi_base(host_mem);
-                        assert_eq!(
-                            app.mem_psi_instant_cached(p.spec.id, base, t).to_bits(),
-                            app.mem_psi_instant(p.spec.id, host_mem, t).to_bits()
-                        );
-                    }
-                }
-            }
+            let key = crate::noise_key(pod_id as u64, crate::mix(tick));
+            proptest::prop_assert_eq!(terms.qps_at.to_bits(), app.qps_at(t).to_bits());
+            proptest::prop_assert_eq!(terms.qps_norm.to_bits(), app.qps_norm(t).to_bits());
+            proptest::prop_assert_eq!(
+                app.pod_cpu_usage_keyed(key, input_factor, &terms).to_bits(),
+                app.pod_cpu_usage(&p, t).to_bits()
+            );
+            proptest::prop_assert_eq!(
+                app.pod_mem_usage_keyed(key, &terms).to_bits(),
+                app.pod_mem_usage(&p, t).to_bits()
+            );
+            proptest::prop_assert_eq!(
+                app.pod_qps_keyed(key, &terms).to_bits(),
+                app.pod_qps(p.spec.id, t).to_bits()
+            );
+            proptest::prop_assert_eq!(
+                app.psi_instant_keyed(key, pod_util, &shape, shape.contention(host_cpu), &terms)
+                    .to_bits(),
+                app.psi_instant(&p, pod_util, host_cpu, t).to_bits()
+            );
+            proptest::prop_assert_eq!(
+                app.mem_psi_instant_keyed(key, AppProfile::mem_psi_base(host_mem)).to_bits(),
+                app.mem_psi_instant(p.spec.id, host_mem, t).to_bits()
+            );
         }
     }
 

@@ -53,6 +53,7 @@ impl PsiWindow {
     /// window length as time constant; with a 30 s tick the 10 s window
     /// effectively tracks the instantaneous value while the 300 s window
     /// smooths over ten ticks.
+    #[inline]
     pub fn step(prev: PsiWindow, instant: f64) -> PsiWindow {
         let (a10, a60, a300) = alphas();
         let mix = |old: f64, a: f64| old + a * (instant - old);
