@@ -1,10 +1,10 @@
 //! Ablations over the design choices DESIGN.md calls out: PPO sampling
-//! rate, scoring mode, ERO profiles vs none, and discretization depth.
+//! rate and discretization depth.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use optum_bench::{bench_cluster, bench_probes, bench_training, bench_workload};
-use optum_core::{OptumConfig, OptumScheduler, ProfilerConfig, ScoringMode};
+use optum_core::{OptumConfig, OptumScheduler, ProfilerConfig};
 use optum_sim::{ClusterView, Scheduler};
 use optum_types::{ClusterConfig, Tick};
 
@@ -53,20 +53,6 @@ fn ablations(c: &mut Criterion) {
             BenchmarkId::new("sampling_rate", format!("{rate}")),
             OptumConfig {
                 sample_rate: rate,
-                ..OptumConfig::default()
-            },
-            base_pc,
-        );
-    }
-    // Scoring formulation.
-    for (label, mode) in [
-        ("absolute", ScoringMode::Absolute),
-        ("marginal", ScoringMode::Marginal),
-    ] {
-        bench_cfg(
-            BenchmarkId::new("scoring", label),
-            OptumConfig {
-                scoring: mode,
                 ..OptumConfig::default()
             },
             base_pc,

@@ -1,13 +1,13 @@
-//! The fused Optum candidate filter+score loop: one placement decision
-//! end to end (sampling, feasibility guards, batched interference
-//! scoring) per iteration.
+//! The Optum candidate filter+score loop: one placement decision end
+//! to end (sampling, feasibility guards, interference scoring) per
+//! iteration.
 //!
-//! `fused` is the production path — candidate evaluation into a
-//! reusable scratch buffer, one batched interference prefetch per
-//! decision, then the scoring pass. `util_only` drops the predictor
-//! terms (the paper's Optum-util ablation and the circuit-breaker
-//! fallback), bounding how much of the decision cost the interference
-//! model accounts for.
+//! `fused` is the production path — per candidate a memo lookup and,
+//! on a miss, the utilization prediction into a reusable scratch
+//! buffer followed by the Eq. 11 score. `util_only` drops the
+//! predictor terms (the paper's Optum-util ablation and the
+//! circuit-breaker fallback), bounding how much of the decision cost
+//! the interference model accounts for.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

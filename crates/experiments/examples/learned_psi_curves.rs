@@ -1,21 +1,13 @@
 //! Learned PSI-vs-host-utilization curves for a few applications,
 //! plus the training data's utilization coverage — a view into what
 //! the Interference Profiler actually learned.
-use optum_core::{InterferenceProfiler, ProfilerConfig, TracingCoordinator};
-use optum_trace::{generate, WorkloadConfig};
+use optum_experiments::{ExpConfig, Runner};
 use optum_types::AppId;
 
 fn main() {
-    let cfg = WorkloadConfig::sized(60, 2, 42);
-    let w = generate(&cfg).unwrap();
-    let td = TracingCoordinator {
-        hosts: 60,
-        profile_days: 2,
-        training_stride: 40,
-    }
-    .collect(&w)
-    .unwrap();
-    let prof = InterferenceProfiler::train(&td, ProfilerConfig::default()).unwrap();
+    let mut runner = Runner::new(ExpConfig::fast()).unwrap();
+    let (_, prof) = runner.profilers().unwrap();
+    let td = runner.training().unwrap();
     // Also show the training data's host-util coverage.
     let mut hu: Vec<f64> = td.psi.iter().map(|s| s.host_cpu_util).collect();
     hu.sort_by(|a, b| a.partial_cmp(b).unwrap());

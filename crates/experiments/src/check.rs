@@ -121,13 +121,7 @@ pub fn check(runner: &mut Runner) -> Result<Figure> {
     {
         let _ = trained_optum(runner, OptumConfig::default())?;
         run_roster(runner)?;
-        let active = |r: &optum_sim::SimResult| {
-            r.cluster_series
-                .iter()
-                .map(|s| s.mean_cpu_util_active)
-                .sum::<f64>()
-                / r.cluster_series.len().max(1) as f64
-        };
+        let active = optum_sim::SimResult::mean_active_cpu_util;
         let base = active(runner.reference_cached());
         let optum = &runner.roster_cache[0];
         let others_best = runner.roster_cache[1..]

@@ -15,31 +15,15 @@
 //! scoring re-packs evicted pods onto genuinely free capacity, while
 //! request-based contenders reject or misplace the reschedule burst.
 
-use std::sync::Arc;
-
 use optum_chaos::{generate_plan, ChaosConfig};
-use optum_core::{
-    InterferenceProfiler, OptumConfig, OptumScheduler, ProfilerConfig, ResourceUsageProfiler,
-};
-use optum_sched::{AlibabaLike, BorgLike, Medea, NSigmaSched, RcLike};
 use optum_sim::SimResult;
 use optum_types::{FaultEvent, Result, SloClass};
 
 use crate::output::{Figure, Panel};
-use crate::runner::Runner;
+use crate::runner::{full_roster, slo_delta, Runner};
 
 /// The default MTBF grid, in days per node (`inf` = healthy cluster).
 pub const MTBF_GRID: [f64; 4] = [f64::INFINITY, 8.0, 2.0, 0.5];
-
-/// Schedulers per arm, in roster order.
-const ROSTER: [&str; 6] = [
-    "AlibabaLike",
-    "RC-like",
-    "N-sigma",
-    "Borg-like",
-    "Medea",
-    "Optum",
-];
 
 fn mtbf_label(days: f64) -> String {
     if days.is_finite() {
@@ -57,17 +41,7 @@ pub fn churn(runner: &mut Runner) -> Result<Figure> {
 /// The `churn` experiment over an explicit MTBF grid (tests use a
 /// reduced grid).
 pub fn churn_grid(runner: &mut Runner, grid: &[f64]) -> Result<Figure> {
-    // Train Optum's profilers once; every arm shares them.
-    let (usage, interference) = {
-        let training = runner.training()?;
-        (
-            Arc::new(ResourceUsageProfiler::from_training(training)),
-            Arc::new(InterferenceProfiler::train(
-                training,
-                ProfilerConfig::default(),
-            )?),
-        )
-    };
+    let (usage, interference) = runner.profilers()?;
     let window_ticks = runner.config.workload_config().window_ticks();
     let hosts = runner.config.hosts as u32;
     let seed = runner.config.seed;
@@ -87,33 +61,23 @@ pub fn churn_grid(runner: &mut Runner, grid: &[f64]) -> Result<Figure> {
         .collect();
 
     // Flatten every (arm × scheduler) run into one fan-out.
-    let mut jobs: Vec<(usize, Box<dyn optum_sim::Scheduler + Send>, Vec<FaultEvent>)> = Vec::new();
-    for (ai, plan) in plans.iter().enumerate() {
-        let roster: Vec<Box<dyn optum_sim::Scheduler + Send>> = vec![
-            Box::new(AlibabaLike::default()),
-            Box::new(RcLike::default()),
-            Box::new(NSigmaSched::default()),
-            Box::new(BorgLike::default()),
-            Box::new(Medea::default()),
-            Box::new(OptumScheduler::with_shared(
-                OptumConfig::default(),
-                usage.clone(),
-                interference.clone(),
-            )),
-        ];
-        for scheduler in roster {
-            jobs.push((ai, scheduler, plan.clone()));
+    let mut jobs: Vec<(Box<dyn optum_sim::Scheduler + Send>, Vec<FaultEvent>)> = Vec::new();
+    for plan in &plans {
+        for scheduler in full_roster(&usage, &interference) {
+            jobs.push((scheduler, plan.clone()));
         }
     }
+    let per_arm = jobs.len() / plans.len().max(1);
     let results: Vec<SimResult> = optum_parallel::parallel_map_owned_threads(
         runner.threads(),
         jobs,
-        |_, (_, scheduler, plan)| runner.run_eval_chaos(scheduler, plan),
+        |_, (scheduler, plan)| {
+            runner.run_eval(&runner.workload, scheduler, |cfg| cfg.fault_events = plan)
+        },
     )
     .into_iter()
     .collect::<Result<_>>()?;
 
-    let per_arm = ROSTER.len();
     let arm_result = |ai: usize, si: usize| &results[ai * per_arm + si];
 
     let mut fig = Figure::new(
@@ -143,7 +107,7 @@ pub fn churn_grid(runner: &mut Runner, grid: &[f64]) -> Result<Figure> {
                 mtbf_label(mtbf),
                 r.scheduler.clone(),
                 format!("{:.4}", r.placement_rate()),
-                format!("{:.4}", mean_active(r)),
+                format!("{:.4}", r.mean_active_cpu_util()),
                 format!("{:.6}", r.violations.rate()),
                 r.churn.total_evictions().to_string(),
                 r.churn.stale_rejections.to_string(),
@@ -226,43 +190,4 @@ pub fn churn_grid(runner: &mut Runner, grid: &[f64]) -> Result<Figure> {
     }
     fig.push(pc);
     Ok(fig)
-}
-
-fn mean_active(r: &SimResult) -> f64 {
-    if r.cluster_series.is_empty() {
-        return 0.0;
-    }
-    r.cluster_series
-        .iter()
-        .map(|s| s.mean_cpu_util_active)
-        .sum::<f64>()
-        / r.cluster_series.len() as f64
-}
-
-/// (LS fraction with degraded PSI, BE completion-violation fraction)
-/// of a churn run against the same scheduler's healthy run.
-fn slo_delta(new: &SimResult, base: &SimResult) -> (f64, f64) {
-    let mut ls_total = 0usize;
-    let mut ls_viol = 0usize;
-    let mut be_total = 0usize;
-    let mut be_viol = 0usize;
-    for (n, b) in new.outcomes.iter().zip(&base.outcomes) {
-        if n.slo.is_latency_sensitive() && n.scheduled() && b.scheduled() {
-            ls_total += 1;
-            if n.worst_psi > b.worst_psi + 0.01 {
-                ls_viol += 1;
-            }
-        } else if n.slo == SloClass::Be {
-            if let (Some(an), Some(ab)) = (n.actual_duration, b.actual_duration) {
-                be_total += 1;
-                if an > ab + 1 {
-                    be_viol += 1;
-                }
-            }
-        }
-    }
-    (
-        ls_viol as f64 / ls_total.max(1) as f64,
-        be_viol as f64 / be_total.max(1) as f64,
-    )
 }

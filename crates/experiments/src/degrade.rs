@@ -21,10 +21,7 @@
 use std::sync::Arc;
 
 use optum_chaos::{generate_outages, ChannelChaosConfig, PredictorChaosConfig};
-use optum_core::{
-    DistStats, DistributedOptum, InterferenceProfiler, OptumConfig, ProfilerConfig,
-    ResourceUsageProfiler,
-};
+use optum_core::{DistStats, DistributedOptum, OptumConfig};
 use optum_sim::SimResult;
 use optum_types::Result;
 
@@ -45,17 +42,7 @@ pub fn degrade(runner: &mut Runner) -> Result<Figure> {
 /// The `degrade` experiment over explicit grids (tests use reduced
 /// ones).
 pub fn degrade_grid(runner: &mut Runner, losses: &[f64], shards: &[usize]) -> Result<Figure> {
-    // Train Optum's profilers once; every arm shares them.
-    let (usage, interference) = {
-        let training = runner.training()?;
-        (
-            Arc::new(ResourceUsageProfiler::from_training(training)),
-            Arc::new(InterferenceProfiler::train(
-                training,
-                ProfilerConfig::default(),
-            )?),
-        )
-    };
+    let (usage, interference) = runner.profilers()?;
     let seed = runner.config.seed;
     let window_ticks = runner.config.workload_config().window_ticks();
 
@@ -135,7 +122,7 @@ pub fn degrade_grid(runner: &mut Runner, losses: &[f64], shards: &[usize]) -> Re
                 k.to_string(),
                 r.scheduler.clone(),
                 format!("{:.4}", r.placement_rate()),
-                format!("{:.4}", mean_active(r)),
+                format!("{:.4}", r.mean_active_cpu_util()),
                 DistStats::get(&s.conflicts).to_string(),
                 DistStats::get(&s.retries).to_string(),
                 DistStats::get(&s.dropped).to_string(),
@@ -169,24 +156,13 @@ pub fn degrade_grid(runner: &mut Runner, losses: &[f64], shards: &[usize]) -> Re
         pb.row(vec![
             arm.to_string(),
             format!("{:.4}", r.placement_rate()),
-            format!("{:.4}", mean_active(r)),
+            format!("{:.4}", r.mean_active_cpu_util()),
             format!("{:.4}", fallback_frac(r, s)),
             format!("{:.3}", (r.placement_rate() - ru.placement_rate()) * 100.0),
         ]);
     }
     fig.push(pb);
     Ok(fig)
-}
-
-fn mean_active(r: &SimResult) -> f64 {
-    if r.cluster_series.is_empty() {
-        return 0.0;
-    }
-    r.cluster_series
-        .iter()
-        .map(|s| s.mean_cpu_util_active)
-        .sum::<f64>()
-        / r.cluster_series.len() as f64
 }
 
 /// Fraction of simulated ticks any replica spent in utilization-only

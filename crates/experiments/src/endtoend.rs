@@ -5,7 +5,7 @@
 //! scheduler then replays the same workload; all results are compared
 //! against the AlibabaLike reference.
 
-use optum_core::{OptumConfig, OptumScheduler, ProfilerConfig};
+use optum_core::{OptumConfig, OptumScheduler};
 use optum_sched::{BorgLike, Medea, NSigmaSched, RcLike};
 use optum_sim::SimResult;
 use optum_stats::Ecdf;
@@ -14,10 +14,10 @@ use optum_types::{Result, SloClass};
 use crate::output::{Figure, Panel};
 use crate::runner::Runner;
 
-/// Builds a trained Optum scheduler from the runner's profiling data.
+/// Builds a trained Optum scheduler from the runner's profilers.
 pub fn trained_optum(runner: &mut Runner, config: OptumConfig) -> Result<OptumScheduler> {
-    let training = runner.training()?;
-    OptumScheduler::from_training(config, training, ProfilerConfig::default())
+    let (usage, interference) = runner.profilers()?;
+    Ok(OptumScheduler::with_shared(config, usage, interference))
 }
 
 /// Runs the full scheduler roster (excluding the reference), caching
@@ -105,7 +105,7 @@ pub fn fig19(runner: &mut Runner) -> Result<Figure> {
             "placement_rate",
         ],
     );
-    let base_util = mean_active(reference);
+    let base_util = reference.mean_active_cpu_util();
     ps.row(vec![
         reference.scheduler.clone(),
         format!("{base_util:.4}"),
@@ -113,7 +113,7 @@ pub fn fig19(runner: &mut Runner) -> Result<Figure> {
         format!("{:.4}", reference.placement_rate()),
     ]);
     for r in results {
-        let u = mean_active(r);
+        let u = r.mean_active_cpu_util();
         ps.row(vec![
             r.scheduler.clone(),
             format!("{u:.4}"),
@@ -123,17 +123,6 @@ pub fn fig19(runner: &mut Runner) -> Result<Figure> {
     }
     fig.push(ps);
     Ok(fig)
-}
-
-fn mean_active(r: &SimResult) -> f64 {
-    if r.cluster_series.is_empty() {
-        return 0.0;
-    }
-    r.cluster_series
-        .iter()
-        .map(|s| s.mean_cpu_util_active)
-        .sum::<f64>()
-        / r.cluster_series.len() as f64
 }
 
 /// Per-pod PSI degradation of a scheduler vs the reference:

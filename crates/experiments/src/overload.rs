@@ -27,19 +27,13 @@
 //! queue keeps LSR waiting-time tails close to their calm-weather
 //! values while the unprotected arms let every class's tail explode.
 
-use std::sync::Arc;
-
-use optum_core::{
-    InterferenceProfiler, OptumConfig, OptumScheduler, ProfilerConfig, ResourceUsageProfiler,
-};
-use optum_sched::{AlibabaLike, BorgLike, Medea, NSigmaSched, RcLike};
 use optum_sim::SimResult;
 use optum_stats::Ecdf;
 use optum_trace::{apply_storm, StormConfig, Workload};
 use optum_types::{Result, SloClass};
 
 use crate::output::{Figure, Panel};
-use crate::runner::Runner;
+use crate::runner::{full_roster, Runner};
 
 /// The default storm-intensity grid (arrival-rate multipliers; `1` is
 /// the calm anchor).
@@ -53,16 +47,6 @@ pub const CAP_GRID: [Option<usize>; 3] = [None, Some(4000), Some(1000)];
 /// looked at a few hundred times per 30-second tick — generous in calm
 /// weather, binding during a storm's retry floods.
 pub const BUDGET_PER_HOST: u64 = 256;
-
-/// Schedulers per arm, in roster order.
-const ROSTER: [&str; 6] = [
-    "AlibabaLike",
-    "RC-like",
-    "N-sigma",
-    "Borg-like",
-    "Medea",
-    "Optum",
-];
 
 /// One completed (intensity × cap × scheduler) run.
 pub struct OverloadArm {
@@ -96,17 +80,7 @@ pub fn overload_results(
     intensities: &[f64],
     caps: &[Option<usize>],
 ) -> Result<Vec<OverloadArm>> {
-    // Train Optum's profilers once; every arm shares them.
-    let (usage, interference) = {
-        let training = runner.training()?;
-        (
-            Arc::new(ResourceUsageProfiler::from_training(training)),
-            Arc::new(InterferenceProfiler::train(
-                training,
-                ProfilerConfig::default(),
-            )?),
-        )
-    };
+    let (usage, interference) = runner.profilers()?;
     let seed = runner.config.seed;
     let window_ticks = runner.config.workload_config().window_ticks();
     let budget = runner.config.hosts as u64 * BUDGET_PER_HOST;
@@ -129,48 +103,31 @@ pub fn overload_results(
     let mut jobs: Vec<(usize, Option<usize>, Box<dyn optum_sim::Scheduler + Send>)> = Vec::new();
     for wi in 0..intensities.len() {
         for &cap in caps {
-            let roster: Vec<Box<dyn optum_sim::Scheduler + Send>> = vec![
-                Box::new(AlibabaLike::default()),
-                Box::new(RcLike::default()),
-                Box::new(NSigmaSched::default()),
-                Box::new(BorgLike::default()),
-                Box::new(Medea::default()),
-                Box::new(OptumScheduler::with_shared(
-                    OptumConfig::default(),
-                    usage.clone(),
-                    interference.clone(),
-                )),
-            ];
-            for scheduler in roster {
+            for scheduler in full_roster(&usage, &interference) {
                 jobs.push((wi, cap, scheduler));
             }
         }
     }
     let runner_ref: &Runner = runner;
-    let results: Vec<SimResult> = optum_parallel::parallel_map_owned_threads(
+    optum_parallel::parallel_map_owned_threads(
         runner_ref.threads(),
         jobs,
         |_, (wi, cap, scheduler)| {
-            // Protection is a package: a finite cap also arms the
-            // decision deadline.
-            let deadline = cap.map(|_| budget);
-            runner_ref.run_eval_overload(&storms[wi], scheduler, cap, deadline)
+            let result = runner_ref.run_eval(&storms[wi], scheduler, |cfg| {
+                // Protection is a package: a finite cap also arms the
+                // decision deadline.
+                cfg.queue_cap = cap;
+                cfg.decision_cost_budget = cap.map(|_| budget);
+            })?;
+            Ok(OverloadArm {
+                intensity: intensities[wi],
+                cap,
+                result,
+            })
         },
     )
     .into_iter()
-    .collect::<Result<_>>()?;
-
-    let per_cap = ROSTER.len();
-    let per_intensity = caps.len() * per_cap;
-    Ok(results
-        .into_iter()
-        .enumerate()
-        .map(|(i, result)| OverloadArm {
-            intensity: intensities[i / per_intensity],
-            cap: caps[(i % per_intensity) / per_cap],
-            result,
-        })
-        .collect())
+    .collect()
 }
 
 /// The `overload` experiment over the default grids.
@@ -218,7 +175,7 @@ pub fn overload_grid(
             cap_label(arm.cap),
             r.scheduler.clone(),
             format!("{:.4}", r.placement_rate()),
-            format!("{:.4}", mean_active(r)),
+            format!("{:.4}", r.mean_active_cpu_util()),
             arrivals.to_string(),
             o.total_shed().to_string(),
             throttled_end.to_string(),
@@ -269,32 +226,20 @@ pub fn overload_grid(
         "(c) utilization delta vs same-arm AlibabaLike (percentage points)",
         &["intensity", "queue_cap", "scheduler", "improvement_pp"],
     );
-    let per_arm = ROSTER.len();
-    for chunk in arms.chunks(per_arm) {
-        let base = mean_active(&chunk[0].result);
+    for chunk in arms.chunk_by(|a, b| (a.intensity, a.cap) == (b.intensity, b.cap)) {
+        let base = chunk[0].result.mean_active_cpu_util();
         debug_assert_eq!(chunk[0].result.scheduler, "AlibabaLike");
         for arm in &chunk[1..] {
             pc.row(vec![
                 format!("{:.0}", arm.intensity),
                 cap_label(arm.cap),
                 arm.result.scheduler.clone(),
-                format!("{:.3}", (mean_active(&arm.result) - base) * 100.0),
+                format!("{:.3}", (arm.result.mean_active_cpu_util() - base) * 100.0),
             ]);
         }
     }
     fig.push(pc);
     Ok(fig)
-}
-
-fn mean_active(r: &SimResult) -> f64 {
-    if r.cluster_series.is_empty() {
-        return 0.0;
-    }
-    r.cluster_series
-        .iter()
-        .map(|s| s.mean_cpu_util_active)
-        .sum::<f64>()
-        / r.cluster_series.len() as f64
 }
 
 /// 99th-percentile queue-waiting time (ticks) of one class's arrivals.

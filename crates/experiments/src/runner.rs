@@ -2,12 +2,18 @@
 //!
 //! Expensive artifacts are computed once and reused across figures:
 //! the synthetic workload, the reference (AlibabaLike) simulation of
-//! the full window, and the offline-profiling dataset.
+//! the full window, the offline-profiling dataset and the profilers
+//! Optum trains on it.
 
-use optum_sched::AlibabaLike;
-use optum_sim::{run, SimConfig, SimResult, TrainingData};
+use std::sync::Arc;
+
+use optum_core::{
+    InterferenceProfiler, OptumConfig, OptumScheduler, ProfilerConfig, ResourceUsageProfiler,
+};
+use optum_sched::{AlibabaLike, BorgLike, Medea, NSigmaSched, RcLike};
+use optum_sim::{run, Scheduler, SimConfig, SimResult, TrainingData};
 use optum_trace::{generate, Workload, WorkloadConfig};
-use optum_types::{FaultEvent, Result};
+use optum_types::{Result, SloClass};
 
 /// Experiment scale configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,6 +66,7 @@ pub struct Runner {
     /// The generated workload.
     pub workload: Workload,
     reference: Option<SimResult>,
+    profilers: Option<Profilers>,
     /// Cached contender results (Figs. 19–20 share the same roster).
     pub roster_cache: Vec<SimResult>,
     /// Worker threads for [`Runner::run_evals`]: `0` (the default)
@@ -82,6 +89,7 @@ impl Runner {
             config,
             workload,
             reference: None,
+            profilers: None,
             roster_cache: Vec::new(),
             threads: 0,
             checkpoint: None,
@@ -187,51 +195,40 @@ impl Runner {
             })
     }
 
-    /// Runs an evaluation simulation (lean recording) under a
-    /// scheduler.
-    pub fn run_eval<S: optum_sim::Scheduler>(&self, scheduler: S) -> Result<SimResult> {
-        let _eval = optum_obs::span!("exp.eval");
-        let mut cfg = self.sim_config();
-        cfg.pods_per_app_sampled = 0;
-        cfg.series_stride = 10;
-        run(&self.workload, scheduler, cfg)
+    /// Optum's offline profilers, trained once on the reference run's
+    /// dataset and shared by every arm of every experiment (training
+    /// is seeded, so the cached pair is the pair any arm would train).
+    pub fn profilers(&mut self) -> Result<Profilers> {
+        if self.profilers.is_none() {
+            let training = self.training()?;
+            self.profilers = Some((
+                Arc::new(ResourceUsageProfiler::from_training(training)),
+                Arc::new(InterferenceProfiler::train(
+                    training,
+                    ProfilerConfig::default(),
+                )?),
+            ));
+        }
+        Ok(self.profilers.clone().expect("just trained"))
     }
 
-    /// Runs an evaluation simulation under a scheduler with a
-    /// fault-injection plan. With an empty plan this is byte-identical
-    /// to [`Runner::run_eval`].
-    pub fn run_eval_chaos<S: optum_sim::Scheduler>(
-        &self,
-        scheduler: S,
-        faults: Vec<FaultEvent>,
-    ) -> Result<SimResult> {
-        let _eval = optum_obs::span!("exp.eval");
-        let mut cfg = self.sim_config();
-        cfg.pods_per_app_sampled = 0;
-        cfg.series_stride = 10;
-        cfg.fault_events = faults;
-        run(&self.workload, scheduler, cfg)
-    }
-
-    /// Runs an evaluation simulation under a scheduler against an
-    /// explicit workload (e.g. a storm-injected one) with overload
-    /// protection knobs. With the runner's own workload, `queue_cap:
-    /// None` and `decision_cost_budget: None` this is byte-identical
-    /// to [`Runner::run_eval`] — the anchor arms of the overload
-    /// experiment rely on that.
-    pub fn run_eval_overload<S: optum_sim::Scheduler>(
+    /// Runs an evaluation simulation (lean recording) of `workload`
+    /// under a scheduler. `configure` adjusts the engine configuration
+    /// of the arm — a fault plan, overload protection; with the
+    /// runner's own workload and nothing adjusted this is the
+    /// fig19/fig20 evaluation arm, which the anchor arms of the churn,
+    /// degrade and overload experiments must stay byte-identical to.
+    pub fn run_eval<S: Scheduler>(
         &self,
         workload: &Workload,
         scheduler: S,
-        queue_cap: Option<usize>,
-        decision_cost_budget: Option<u64>,
+        configure: impl FnOnce(&mut SimConfig),
     ) -> Result<SimResult> {
         let _eval = optum_obs::span!("exp.eval");
         let mut cfg = self.sim_config();
         cfg.pods_per_app_sampled = 0;
         cfg.series_stride = 10;
-        cfg.queue_cap = queue_cap;
-        cfg.decision_cost_budget = decision_cost_budget;
+        configure(&mut cfg);
         run(workload, scheduler, cfg)
     }
 
@@ -243,13 +240,68 @@ impl Runner {
     /// scheduler state), so the pool only changes *where* it runs.
     pub fn run_evals<S>(&self, schedulers: Vec<S>) -> Result<Vec<SimResult>>
     where
-        S: optum_sim::Scheduler + Send,
+        S: Scheduler + Send,
     {
         let _fanout = optum_obs::span!("exp.fanout");
         optum_parallel::parallel_map_owned_threads(self.threads, schedulers, |_, scheduler| {
-            self.run_eval(scheduler)
+            self.run_eval(&self.workload, scheduler, |_| {})
         })
         .into_iter()
         .collect()
     }
+}
+
+/// Optum's trained offline profilers (see [`Runner::profilers`]).
+pub type Profilers = (Arc<ResourceUsageProfiler>, Arc<InterferenceProfiler>);
+
+/// The full scheduler roster of the churn and overload experiments:
+/// the production reference first, the paper's baselines, then a
+/// default-configured Optum over the shared profilers. Panels name
+/// each arm by its [`Scheduler::name`].
+pub fn full_roster(
+    usage: &Arc<ResourceUsageProfiler>,
+    interference: &Arc<InterferenceProfiler>,
+) -> Vec<Box<dyn Scheduler + Send>> {
+    vec![
+        Box::new(AlibabaLike::default()),
+        Box::new(RcLike::default()),
+        Box::new(NSigmaSched::default()),
+        Box::new(BorgLike::default()),
+        Box::new(Medea::default()),
+        Box::new(OptumScheduler::with_shared(
+            OptumConfig::default(),
+            usage.clone(),
+            interference.clone(),
+        )),
+    ]
+}
+
+/// (Fraction of LS pods with degraded PSI, fraction of BE pods with a
+/// longer completion) of a run against a baseline run of the same
+/// workload — the reference scheduler's, or the same scheduler's
+/// healthy arm.
+pub fn slo_delta(new: &SimResult, base: &SimResult) -> (f64, f64) {
+    let mut ls_total = 0usize;
+    let mut ls_viol = 0usize;
+    let mut be_total = 0usize;
+    let mut be_viol = 0usize;
+    for (n, b) in new.outcomes.iter().zip(&base.outcomes) {
+        if n.slo.is_latency_sensitive() && n.scheduled() && b.scheduled() {
+            ls_total += 1;
+            if n.worst_psi > b.worst_psi + 0.01 {
+                ls_viol += 1;
+            }
+        } else if n.slo == SloClass::Be {
+            if let (Some(an), Some(ab)) = (n.actual_duration, b.actual_duration) {
+                be_total += 1;
+                if an > ab + 1 {
+                    be_viol += 1;
+                }
+            }
+        }
+    }
+    (
+        ls_viol as f64 / ls_total.max(1) as f64,
+        be_viol as f64 / be_total.max(1) as f64,
+    )
 }

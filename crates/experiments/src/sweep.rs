@@ -1,14 +1,10 @@
 //! Fig. 21: sensitivity of Optum to the objective weights ω_o, ω_b.
 
-use std::sync::Arc;
-
-use optum_core::{
-    InterferenceProfiler, OptumConfig, OptumScheduler, ProfilerConfig, ResourceUsageProfiler,
-};
-use optum_types::{Result, SloClass};
+use optum_core::{OptumConfig, OptumScheduler};
+use optum_types::Result;
 
 use crate::output::{Figure, Panel};
-use crate::runner::Runner;
+use crate::runner::{slo_delta, Runner};
 
 /// The weight grid of Fig. 21.
 pub const OMEGAS: [f64; 5] = [0.1, 0.3, 0.5, 0.7, 0.9];
@@ -17,15 +13,7 @@ pub const OMEGAS: [f64; 5] = [0.1, 0.3, 0.5, 0.7, 0.9];
 /// improvement (a), the BE violation rate (b), and the LS violation
 /// rate (c), all relative to the reference scheduler.
 pub fn fig21(runner: &mut Runner) -> Result<Figure> {
-    runner.reference()?;
-    let base_util = {
-        let r = runner.reference_cached();
-        r.cluster_series
-            .iter()
-            .map(|s| s.mean_cpu_util_active)
-            .sum::<f64>()
-            / r.cluster_series.len().max(1) as f64
-    };
+    let base_util = runner.reference()?.mean_active_cpu_util();
 
     let mut fig = Figure::new("fig21", "Sensitivity to the objective weights");
     let mut panel = Panel::new(
@@ -38,17 +26,8 @@ pub fn fig21(runner: &mut Runner) -> Result<Figure> {
             "ls_violation",
         ],
     );
-    // Train the profilers once; only the objective weights vary.
-    let (usage, interference) = {
-        let training = runner.training()?;
-        (
-            Arc::new(ResourceUsageProfiler::from_training(training)),
-            Arc::new(InterferenceProfiler::train(
-                training,
-                ProfilerConfig::default(),
-            )?),
-        )
-    };
+    // One trained pair of profilers; only the objective weights vary.
+    let (usage, interference) = runner.profilers()?;
     // Build the full 5×5 grid of schedulers up front, then fan the 25
     // independent simulations out across the runner's worker threads.
     // The sweep isolates the objective weights: the hard PSI and CPU
@@ -83,39 +62,14 @@ pub fn fig21(runner: &mut Runner) -> Result<Figure> {
     // loop-invariant, so hoist it out of the scoring loop.
     let reference = runner.reference_cached();
     for (&(omega_o, omega_b), result) in grid.iter().zip(&results) {
-        let util = result
-            .cluster_series
-            .iter()
-            .map(|s| s.mean_cpu_util_active)
-            .sum::<f64>()
-            / result.cluster_series.len().max(1) as f64;
-
-        // LS violation: fraction of LS pods with degraded PSI.
-        let mut ls_total = 0usize;
-        let mut ls_viol = 0usize;
-        let mut be_total = 0usize;
-        let mut be_viol = 0usize;
-        for (n, b) in result.outcomes.iter().zip(&reference.outcomes) {
-            if n.slo.is_latency_sensitive() && n.scheduled() && b.scheduled() {
-                ls_total += 1;
-                if n.worst_psi > b.worst_psi + 0.01 {
-                    ls_viol += 1;
-                }
-            } else if n.slo == SloClass::Be {
-                if let (Some(an), Some(ab)) = (n.actual_duration, b.actual_duration) {
-                    be_total += 1;
-                    if an > ab + 1 {
-                        be_viol += 1;
-                    }
-                }
-            }
-        }
+        let util = result.mean_active_cpu_util();
+        let (ls_violation, be_violation) = slo_delta(result, reference);
         panel.row(vec![
             format!("{omega_o:.1}"),
             format!("{omega_b:.1}"),
             format!("{:.3}", (util - base_util) * 100.0),
-            format!("{:.5}", be_viol as f64 / be_total.max(1) as f64),
-            format!("{:.5}", ls_viol as f64 / ls_total.max(1) as f64),
+            format!("{be_violation:.5}"),
+            format!("{ls_violation:.5}"),
         ]);
     }
     fig.push(panel);

@@ -17,8 +17,8 @@
 //!
 //! The Offline Profiler trains on data collected by a profiling run
 //! (the paper uses the first seven days of the trace); the Online
-//! Scheduler then scores a PPO-sampled subset of hosts per request,
-//! optionally across threads, and picks the best.
+//! Scheduler then scores a PPO-sampled subset of hosts per request and
+//! picks the best.
 
 pub mod deployment;
 pub mod distributed;
@@ -31,5 +31,5 @@ pub use distributed::{DistStats, DistributedOptum};
 pub use profiler::{
     InterferenceProfiler, ModelKind, PredictorHealth, ProfilerConfig, ResourceUsageProfiler,
 };
-pub use scheduler::{BreakerState, CandidateExplanation, OptumConfig, OptumScheduler, ScoringMode};
+pub use scheduler::{BreakerState, CandidateExplanation, OptumConfig, OptumScheduler};
 pub use tracing::TracingCoordinator;

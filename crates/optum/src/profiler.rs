@@ -276,7 +276,7 @@ impl InterferenceProfiler {
         Some(self.bucketize(raw))
     }
 
-    /// Raw (continuous) PSI prediction, for marginal scoring where
+    /// Raw (continuous) PSI prediction, for the Eq. 11 score, where
     /// bucket edges would create count-amplified score cliffs; `None`
     /// when the app has no model.
     pub fn predict_psi_raw(
@@ -324,8 +324,8 @@ impl InterferenceProfiler {
         Some(self.bucketize(raw))
     }
 
-    /// Raw (continuous) completion-time prediction, for marginal
-    /// scoring; `None` when unmodeled or insufficiently accurate.
+    /// Raw (continuous) completion-time prediction, for the Eq. 11
+    /// score; `None` when unmodeled or insufficiently accurate.
     pub fn predict_ct_raw(
         &self,
         app: AppId,
@@ -345,44 +345,6 @@ impl InterferenceProfiler {
             host_mem_util,
         ]);
         Some(raw.clamp(0.0, 1.0))
-    }
-
-    /// Batched [`InterferenceProfiler::predict_psi_raw`]: evaluates
-    /// the app's LS model on every row of `x` (Eq. 9 feature layout,
-    /// 5 columns) into `out`, clamping each prediction to `[0, 1]`.
-    /// Returns `false` — clearing `out` — when the app has no model.
-    /// Each output is bit-identical to the scalar call on that row.
-    pub fn predict_psi_raw_batch(&self, app: AppId, x: &Matrix, out: &mut Vec<f64>) -> bool {
-        let Some(m) = self.ls_models.get(&app) else {
-            out.clear();
-            return false;
-        };
-        m.model.predict_into(x, out);
-        for v in out.iter_mut() {
-            *v = v.clamp(0.0, 1.0);
-        }
-        true
-    }
-
-    /// Batched [`InterferenceProfiler::predict_ct_raw`]: evaluates the
-    /// app's BE model on every row of `x` (Eq. 10 feature layout, 4
-    /// columns) into `out`, clamping each prediction to `[0, 1]`.
-    /// Returns `false` — clearing `out` — when the app is unmodeled or
-    /// its validation MAPE exceeds the accuracy threshold.
-    pub fn predict_ct_raw_batch(&self, app: AppId, x: &Matrix, out: &mut Vec<f64>) -> bool {
-        let Some(m) = self.be_models.get(&app) else {
-            out.clear();
-            return false;
-        };
-        if m.mape > self.config.be_mape_threshold {
-            out.clear();
-            return false;
-        }
-        m.model.predict_into(x, out);
-        for v in out.iter_mut() {
-            *v = v.clamp(0.0, 1.0);
-        }
-        true
     }
 
     /// Discretizes a raw prediction to its bucket upper bound, except

@@ -4,31 +4,15 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use optum_ml::Matrix;
 use optum_predictors::{OptumPredictor, PodInfo, UsagePredictor};
 use optum_sim::{ClusterView, Decision, NodeRuntime, Scheduler, TrainingData};
 use optum_types::{AppId, PodSpec, Resources, SloClass};
 
 use crate::profiler::{InterferenceProfiler, ResourceUsageProfiler};
-
-/// How the Node Selector turns Eq. 6 into a per-candidate score.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScoringMode {
-    /// The literal Eq. 11 score of the host state *after* placement.
-    /// Pressured hosts carry their full interference penalty, so
-    /// packing stops at the learned pressure knee.
-    Absolute,
-    /// The marginal change in the global objective (after − before).
-    /// Differencing cancels per-host model bias but also loses the
-    /// deterrent once predictions leave the training range (kept as an
-    /// ablation).
-    Marginal,
-}
 
 /// Online-scheduler configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,14 +38,8 @@ pub struct OptumConfig {
     /// workload is accurate to ~15%, so an explicit margin restores
     /// the same effective headroom.
     pub cpu_guard: f64,
-    /// Worker threads for candidate scoring (1 = inline). Threads only
-    /// engage when the candidate set is large enough to amortize
-    /// spawning.
-    pub threads: usize,
     /// RNG seed for candidate sampling.
     pub seed: u64,
-    /// Score formulation (see [`ScoringMode`]).
-    pub scoring: ScoringMode,
     /// Hard per-application PSI constraint (§4.3.1: "the system can
     /// also impose separate constraints on PSI from important
     /// services"): a candidate whose placement would push any resident
@@ -87,9 +65,7 @@ impl Default for OptumConfig {
             min_candidates: 64,
             memory_guard: 0.8,
             cpu_guard: 0.8,
-            threads: 1,
             seed: 42,
-            scoring: ScoringMode::Absolute,
             psi_guard: 0.1,
             util_only: false,
             breaker_trip_after: 1,
@@ -133,6 +109,11 @@ pub struct CandidateExplanation {
     pub score: f64,
     /// Whether the candidate passed the feasibility checks.
     pub feasible: bool,
+    /// False when the CPU guard or the PSI guard (CPU pressure on a
+    /// resident LS application) rejected the candidate.
+    pub cpu_ok: bool,
+    /// False when the memory guard rejected the candidate.
+    pub mem_ok: bool,
     /// Summed predicted PSI over resident LS pods (pre-weight).
     pub ls_ri: f64,
     /// Summed predicted completion inflation over resident BE pods.
@@ -235,25 +216,18 @@ struct DecideScratch {
     candidates: Vec<usize>,
     /// Pod list of a host plus the incoming pod (`observation_plus`).
     infos: Vec<PodInfo>,
-    /// Memo misses: (host, utilization predictions).
-    evals: Vec<(usize, CandidateEval)>,
-    /// Scores of `evals`, in the same order.
-    fresh: Vec<ScoredCandidate>,
-    /// One slot per candidate, in candidate order: a memo hit, or
-    /// `None` for a miss, whose score is the next one of `fresh`.
-    scored: Vec<(usize, Option<ScoredCandidate>)>,
+    /// One score per candidate, in candidate order.
+    scored: Vec<(usize, ScoredCandidate)>,
     groups: AppGroups,
 }
 
-/// Per-candidate state from the fused assembly pass of `decide`: the
-/// utilization predictions (the expensive half of scoring), computed
-/// once and shared by the interference prefetch and the scoring pass.
-#[derive(Clone, Copy)]
+/// The predictor half of one candidate's score: host utilization with
+/// the pod added, and the guards on it.
 struct CandidateEval {
-    /// Predicted (cpu, mem) host utilization before the placement.
-    before: (f64, f64),
-    /// Predicted (cpu, mem) host utilization with the pod added.
-    after: (f64, f64),
+    /// Predicted CPU utilization after placement (POC / capacity).
+    poc_util: f64,
+    /// Predicted memory utilization after placement (POM / capacity).
+    pom_util: f64,
     cpu_ok: bool,
     mem_ok: bool,
 }
@@ -265,17 +239,13 @@ pub struct OptumScheduler {
     interference: Arc<InterferenceProfiler>,
     predictor: OptumPredictor,
     rng: StdRng,
-    ri_cache: Arc<RwLock<HashMap<RiKey, f64>>>,
+    ri_cache: HashMap<RiKey, f64>,
     /// Candidate memo, one slot per host (see DESIGN.md, "Candidate
-    /// memo"). Holds scores of one scoring mode only: `memo_degraded`.
+    /// memo"). Holds either full or utilization-only scores, never
+    /// both: `memo_degraded` says which.
     memo: Vec<HostMemo>,
     memo_degraded: bool,
     scratch: DecideScratch,
-    ri_key_scratch: Vec<RiKey>,
-    ri_feat_scratch: Vec<f64>,
-    ri_out_scratch: Vec<f64>,
-    prefetch_backoff: u32,
-    prefetch_interval: u32,
     health: crate::profiler::PredictorHealth,
     breaker: BreakerState,
     consecutive_failures: u32,
@@ -307,15 +277,10 @@ impl OptumScheduler {
             usage_profiles,
             interference,
             predictor: OptumPredictor,
-            ri_cache: Arc::new(RwLock::new(HashMap::new())),
+            ri_cache: HashMap::new(),
             memo: Vec::new(),
             memo_degraded: false,
             scratch: DecideScratch::default(),
-            ri_key_scratch: Vec::new(),
-            ri_feat_scratch: Vec::new(),
-            ri_out_scratch: Vec::new(),
-            prefetch_backoff: 0,
-            prefetch_interval: 0,
             health: crate::profiler::PredictorHealth::healthy(),
             breaker: BreakerState::Closed,
             consecutive_failures: 0,
@@ -445,18 +410,18 @@ impl OptumScheduler {
     /// into count-proportional noise that buries the utilization term.
     /// After the correction, below-knee hosts read exactly zero and
     /// only genuine pressure signal survives.
-    fn ri_of(&self, app: AppId, is_ls: bool, poc_util: f64, pom_util: f64) -> f64 {
+    fn ri_of(&mut self, app: AppId, is_ls: bool, poc_util: f64, pom_util: f64) -> f64 {
         let bucket = |u: f64| (u.clamp(0.0, 1.0) * 25.0).min(24.0) as u16;
         let center = |b: u16| (b as f64 + 0.5) / 25.0;
         let key: RiKey = (app.0, bucket(poc_util), bucket(pom_util), is_ls);
-        if let Some(v) = self.ri_cache.read().get(&key) {
+        if let Some(v) = self.ri_cache.get(&key) {
             return *v;
         }
         // Baseline: the model's reading in the uncontended regime.
         let base = self.raw_ri(app, is_ls, 0.26, center(key.2));
         let at = self.raw_ri(app, is_ls, center(key.1), center(key.2));
         let value = (at - base).max(0.0);
-        self.ri_cache.write().insert(key, value);
+        self.ri_cache.insert(key, value);
         value
     }
 
@@ -469,23 +434,17 @@ impl OptumScheduler {
         node: &NodeRuntime,
         view: &ClusterView<'_>,
     ) -> CandidateExplanation {
-        let extra = PodInfo {
-            app: pod.app,
-            request: pod.request,
-            limit: pod.limit,
-        };
         let mut s = std::mem::take(&mut self.scratch);
-        let obs = view.observation_plus(node, extra, &mut s.infos);
-        let pred: Resources = self.predictor.predict(&obs, self.usage_profiles.as_ref());
-        let cap = node.spec.capacity;
-        let (poc_util, pom_util) = (pred.cpu / cap.cpu, pred.mem / cap.mem);
-        let scored = self.score_candidate(pod, node, view, &mut s.infos, &mut s.groups);
+        let eval = self.eval_candidate(pod, node, view, &mut s.infos);
+        let scored = self.score_eval(pod, node, &eval, &mut s.groups);
         self.scratch = s;
         CandidateExplanation {
-            poc_util,
-            pom_util,
+            poc_util: eval.poc_util,
+            pom_util: eval.pom_util,
             score: scored.score,
             feasible: scored.score > f64::NEG_INFINITY,
+            cpu_ok: scored.cpu_ok,
+            mem_ok: scored.mem_ok,
             ls_ri: scored.ls_ri,
             be_ri: scored.be_ri,
         }
@@ -495,7 +454,7 @@ impl OptumScheduler {
     /// (Eqs. 9–10), returning (LS sum, BE sum, worst single-app LS
     /// PSI).
     fn interference_sums(
-        &self,
+        &mut self,
         groups: &[(AppId, SloClass, f64)],
         poc_util: f64,
         pom_util: f64,
@@ -515,19 +474,11 @@ impl OptumScheduler {
         (ls_ri, be_ri, worst_ls)
     }
 
-    /// Scores placing `pod` on `node` as the *marginal* change in the
-    /// global objective of Eq. 6: (utilization product − weighted
-    /// interference) after the placement minus the same quantity
-    /// before. Greedily maximizing the global objective requires the
-    /// difference, not the absolute per-host value — the host's
-    /// pre-existing terms are paid regardless of where the new pod
-    /// lands, and differencing also cancels per-host model bias.
-    /// Returns a negative-infinity score when the candidate is
-    /// infeasible (predicted utilization ≥ 1 or beyond the memory
-    /// guard). This is the memo-free path: `explain` and the debug
-    /// check of every memo hit go through it.
+    /// Scores placing `pod` on `node` without the memo: what `decide`
+    /// runs for a miss, and what the debug check of every memo hit
+    /// recomputes.
     fn score_candidate(
-        &self,
+        &mut self,
         pod: &PodSpec,
         node: &NodeRuntime,
         view: &ClusterView<'_>,
@@ -538,11 +489,8 @@ impl OptumScheduler {
         self.score_eval(pod, node, &eval, groups)
     }
 
-    /// The predictor half of scoring: before/after host-utilization
-    /// predictions and the feasibility guards for one candidate.
-    /// `decide` runs this once per candidate in a fused assembly pass
-    /// so the interference models can be warmed with batched
-    /// evaluations before the scoring pass.
+    /// The predictor half of scoring: the host-utilization prediction
+    /// with the pod added (Eqs. 7–8) and the CPU/memory guards on it.
     fn eval_candidate(
         &self,
         pod: &PodSpec,
@@ -556,38 +504,29 @@ impl OptumScheduler {
             limit: pod.limit,
         };
         let cap = node.spec.capacity;
-        // Predicted utilization before the placement.
-        let obs_before = view.observation(node);
-        let pred_before: Resources = self
-            .predictor
-            .predict(&obs_before, self.usage_profiles.as_ref());
-        let before = (pred_before.cpu / cap.cpu, pred_before.mem / cap.mem);
-        // Predicted utilization after the placement.
         let obs = view.observation_plus(node, extra, buf);
         let pred: Resources = self.predictor.predict(&obs, self.usage_profiles.as_ref());
         let poc_util = pred.cpu / cap.cpu;
         let pom_util = pred.mem / cap.mem;
         CandidateEval {
-            before,
-            after: (poc_util, pom_util),
+            poc_util,
+            pom_util,
             cpu_ok: poc_util <= self.config.cpu_guard,
             mem_ok: pom_util <= self.config.memory_guard,
         }
     }
 
-    /// The scoring half: Eq. 11 from a candidate's precomputed
-    /// utilization predictions. Interference lookups go through
-    /// `ri_of`, which `decide`'s batched prefetch has already warmed
-    /// on the hot path.
+    /// The scoring half: Eq. 11 of the host state after placement,
+    /// from a candidate's utilization prediction. The score is −∞ when
+    /// a guard rejects the candidate.
     fn score_eval(
-        &self,
+        &mut self,
         pod: &PodSpec,
         node: &NodeRuntime,
         eval: &CandidateEval,
         groups: &mut AppGroups,
     ) -> ScoredCandidate {
-        let before = eval.before;
-        let (poc_util, pom_util) = eval.after;
+        let (poc_util, pom_util) = (eval.poc_util, eval.pom_util);
         let (cpu_ok, mem_ok) = (eval.cpu_ok, eval.mem_ok);
         if !cpu_ok || !mem_ok {
             return ScoredCandidate {
@@ -604,36 +543,23 @@ impl OptumScheduler {
         // the interference terms and the PSI guard that depend on the
         // faulty models.
         if self.config.util_only || self.breaker != BreakerState::Closed {
-            let score = match self.config.scoring {
-                ScoringMode::Absolute => poc_util * pom_util,
-                ScoringMode::Marginal => poc_util * pom_util - before.0 * before.1,
-            };
             return ScoredCandidate {
-                score,
+                score: poc_util * pom_util,
                 cpu_ok: true,
                 mem_ok: true,
                 ls_ri: 0.0,
                 be_ri: 0.0,
             };
         }
-        // Resident pods grouped per app (small vectors; avoid hashing).
+        // Resident pods and the incoming one, grouped per app (small
+        // vectors; avoid hashing).
         groups.clear();
-        for rp in node.pods() {
-            match groups
-                .iter_mut()
-                .find(|(a, s, _)| *a == rp.app && *s == rp.slo)
-            {
+        let residents = node.pods().iter().map(|rp| (rp.app, rp.slo));
+        for (app, slo) in residents.chain([(pod.app, pod.slo)]) {
+            match groups.iter_mut().find(|(a, s, _)| *a == app && *s == slo) {
                 Some(g) => g.2 += 1.0,
-                None => groups.push((rp.app, rp.slo, 1.0)),
+                None => groups.push((app, slo, 1.0)),
             }
-        }
-        let (ls_before, be_before, _) = self.interference_sums(groups, before.0, before.1);
-        match groups
-            .iter_mut()
-            .find(|(a, s, _)| *a == pod.app && *s == pod.slo)
-        {
-            Some(g) => g.2 += 1.0,
-            None => groups.push((pod.app, pod.slo, 1.0)),
         }
         let (ls_ri, be_ri, worst_ls) = self.interference_sums(groups, poc_util, pom_util);
         // Hard PSI constraint: refuse to push any LS application past
@@ -647,138 +573,13 @@ impl OptumScheduler {
                 be_ri,
             };
         }
-        let score = match self.config.scoring {
-            ScoringMode::Absolute => {
-                poc_util * pom_util - self.config.omega_o * ls_ri - self.config.omega_b * be_ri
-            }
-            ScoringMode::Marginal => {
-                (poc_util * pom_util - before.0 * before.1)
-                    - self.config.omega_o * (ls_ri - ls_before)
-                    - self.config.omega_b * (be_ri - be_before)
-            }
-        };
         ScoredCandidate {
-            score,
+            score: poc_util * pom_util - self.config.omega_o * ls_ri - self.config.omega_b * be_ri,
             cpu_ok: true,
             mem_ok: true,
             ls_ri,
             be_ri,
         }
-    }
-
-    /// Warms `ri_cache` with every (app, utilization-bucket) pair the
-    /// scoring pass will look up, batching cache misses into one model
-    /// evaluation per (app, class) instead of two scalar tree walks
-    /// per resident app per candidate. Values are bit-identical to
-    /// `ri_of`'s on-demand path — identical feature rows, clamp, and
-    /// baseline correction — so the scoring pass is unchanged and
-    /// simply hits the cache.
-    fn prefetch_ri(
-        &mut self,
-        pod: &PodSpec,
-        view: &ClusterView<'_>,
-        evals: &[(usize, CandidateEval)],
-    ) -> usize {
-        let _prefetch = optum_obs::span!("optum.prefetch");
-        let bucket = |u: f64| (u.clamp(0.0, 1.0) * 25.0).min(24.0) as u16;
-        let center = |b: u16| (b as f64 + 0.5) / 25.0;
-        let mut keys = std::mem::take(&mut self.ri_key_scratch);
-        keys.clear();
-        // Same key space as the scoring pass: resident apps at the
-        // before-utilization, residents plus the incoming pod at the
-        // after-utilization. Guard-failing candidates score no models.
-        for &(i, eval) in evals {
-            if !eval.cpu_ok || !eval.mem_ok {
-                continue;
-            }
-            let before_b = (bucket(eval.before.0), bucket(eval.before.1));
-            let after_b = (bucket(eval.after.0), bucket(eval.after.1));
-            let mut push = |app: AppId, slo: SloClass, resident: bool| {
-                let is_ls = if slo.is_latency_sensitive() {
-                    true
-                } else if slo == SloClass::Be {
-                    false
-                } else {
-                    return;
-                };
-                if resident {
-                    keys.push((app.0, before_b.0, before_b.1, is_ls));
-                }
-                keys.push((app.0, after_b.0, after_b.1, is_ls));
-            };
-            for rp in view.nodes[i].pods() {
-                push(rp.app, rp.slo, true);
-            }
-            push(pod.app, pod.slo, false);
-        }
-        // Group by (app, class) so each run is one batched predict.
-        keys.sort_unstable_by_key(|k| (k.0, k.3, k.1, k.2));
-        keys.dedup();
-        {
-            let cache = self.ri_cache.read();
-            keys.retain(|k| !cache.contains_key(k));
-        }
-        let misses = keys.len();
-        let mut feats = std::mem::take(&mut self.ri_feat_scratch);
-        let mut out = std::mem::take(&mut self.ri_out_scratch);
-        let mut start = 0;
-        while start < keys.len() {
-            let (app_raw, is_ls) = (keys[start].0, keys[start].3);
-            let mut end = start + 1;
-            while end < keys.len() && keys[end].0 == app_raw && keys[end].3 == is_ls {
-                end += 1;
-            }
-            let run = &keys[start..end];
-            start = end;
-            let app = AppId(app_raw);
-            let Some(profile) = self.usage_profiles.profile(app) else {
-                // `raw_ri` reads 0.0 for unprofiled apps; cache the
-                // corrected value it would produce.
-                let mut cache = self.ri_cache.write();
-                for k in run {
-                    cache.insert(*k, 0.0);
-                }
-                continue;
-            };
-            let dims = if is_ls { 5 } else { 4 };
-            feats.clear();
-            for k in run {
-                let pom_center = center(k.2);
-                // Two rows per key: the uncontended 0.26 baseline of
-                // `ri_of`, then the POC bucket center.
-                for host_cpu in [0.26, center(k.1)] {
-                    feats.push(profile.max_cpu_util);
-                    feats.push(profile.max_mem_util);
-                    feats.push(host_cpu);
-                    feats.push(pom_center);
-                    if is_ls {
-                        feats.push(profile.max_qps_norm);
-                    }
-                }
-            }
-            let x = Matrix::from_vec(run.len() * 2, dims, feats).expect("well-formed feature rows");
-            let modeled = if is_ls {
-                self.interference.predict_psi_raw_batch(app, &x, &mut out)
-            } else {
-                self.interference.predict_ct_raw_batch(app, &x, &mut out)
-            };
-            feats = x.into_vec();
-            let mut cache = self.ri_cache.write();
-            if modeled {
-                for (j, k) in run.iter().enumerate() {
-                    let value = (out[2 * j + 1] - out[2 * j]).max(0.0);
-                    cache.insert(*k, value);
-                }
-            } else {
-                for k in run {
-                    cache.insert(*k, 0.0);
-                }
-            }
-        }
-        self.ri_feat_scratch = feats;
-        self.ri_out_scratch = out;
-        self.ri_key_scratch = keys;
-        misses
     }
 }
 
@@ -791,80 +592,15 @@ impl OptumScheduler {
     }
 
     /// Drops the whole memo when what it was filled under no longer
-    /// holds: another scoring mode (the breaker opened or closed —
-    /// `score_eval` reads the mode) or another host count (another
-    /// cluster behind the same indices).
+    /// holds: the breaker opened or closed (`score_eval` falls back to
+    /// utilization-only scores while it is open) or another host count
+    /// (another cluster behind the same indices).
     fn sync_memo(&mut self, hosts: usize) {
         let degraded = self.is_degraded();
         if self.memo.len() != hosts || self.memo_degraded != degraded {
             self.memo.clear();
             self.memo.resize_with(hosts, HostMemo::default);
             self.memo_degraded = degraded;
-        }
-    }
-
-    /// Scores the memo misses of one decision (`s.evals`) into
-    /// `s.fresh` and stores them in the memo.
-    fn score_misses(
-        &mut self,
-        pod: &PodSpec,
-        view: &ClusterView<'_>,
-        class: &PodClass,
-        s: &mut DecideScratch,
-    ) {
-        // Prefetch with exponential backoff: once the RI cache is
-        // warm, prefetches find nothing to do, so skip up to 64
-        // scoring decisions between probes and reset on any miss.
-        // Values are bit-identical either way — `ri_of` still computes
-        // misses on demand — so this only trims overhead, never
-        // changes scores.
-        if !self.is_degraded() {
-            if self.prefetch_backoff > 0 {
-                self.prefetch_backoff -= 1;
-            } else {
-                if self.prefetch_ri(pod, view, &s.evals) == 0 {
-                    self.prefetch_interval = (self.prefetch_interval.max(1) * 2).min(64);
-                } else {
-                    self.prefetch_interval = 0;
-                }
-                self.prefetch_backoff = self.prefetch_interval;
-            }
-        }
-        // Across worker threads when there are enough misses to
-        // amortize spawning (§4.3.4: the Online Scheduler's components
-        // run multi-threaded, each thread scoring a few candidate
-        // hosts).
-        let threads = self.config.threads;
-        if threads > 1 && s.evals.len() >= 4 * threads {
-            let this = &*self;
-            let (evals, fresh) = (&s.evals, &mut s.fresh);
-            crossbeam::scope(|scope| {
-                let handles: Vec<_> = evals
-                    .chunks(evals.len().div_ceil(threads))
-                    .map(|part| {
-                        scope.spawn(move |_| {
-                            let mut groups = AppGroups::new();
-                            part.iter()
-                                .map(|(i, eval)| {
-                                    this.score_eval(pod, &view.nodes[*i], eval, &mut groups)
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    fresh.extend(h.join().expect("scoring thread panicked"));
-                }
-            })
-            .expect("crossbeam scope");
-        } else {
-            for (i, eval) in &s.evals {
-                let scored = self.score_eval(pod, &view.nodes[*i], eval, &mut s.groups);
-                s.fresh.push(scored);
-            }
-        }
-        for ((i, _), &scored) in s.evals.iter().zip(&s.fresh) {
-            self.memo[*i].entries.push((*class, scored));
         }
     }
 
@@ -921,40 +657,42 @@ impl OptumScheduler {
         // A candidate's score is a function of its pod list, the pod's
         // class, the static profiles and the breaker mode, so a host
         // whose list has not moved since it last scored this class is
-        // not scored again. Only the misses go through the fused
-        // assembly below: one pass computes their before/after
-        // utilization predictions (the predictor half of scoring), so
-        // the interference models can be warmed with batched
-        // evaluations instead of two scalar tree walks per resident
-        // app per candidate.
+        // not scored again.
         self.sync_memo(n);
         let class = PodClass::of(pod);
-        s.evals.clear();
-        s.fresh.clear();
         s.scored.clear();
+        let mut misses = 0;
         for &i in &s.candidates {
             let node = &view.nodes[i];
-            let hit = self.memo[i].lookup(node, &class);
-            match hit {
+            let scored = match self.memo[i].lookup(node, &class) {
                 // Every debug build — so every test — is the memo's
                 // oracle: a hit must be the fresh score, bit for bit.
-                Some(hit) => debug_assert!(
-                    hit.bit_eq(&self.score_candidate(pod, node, view, &mut s.infos, &mut s.groups)),
-                    "stale candidate memo: host {i}, pod-list version {}",
-                    node.pods_version()
-                ),
-                None => {
-                    let eval = self.eval_candidate(pod, node, view, &mut s.infos);
-                    s.evals.push((i, eval));
+                Some(hit) => {
+                    debug_assert!(
+                        hit.bit_eq(&self.score_candidate(
+                            pod,
+                            node,
+                            view,
+                            &mut s.infos,
+                            &mut s.groups
+                        )),
+                        "stale candidate memo: host {i}, pod-list version {}",
+                        node.pods_version()
+                    );
+                    hit
                 }
-            }
-            s.scored.push((i, hit));
+                None => {
+                    let fresh = self.score_candidate(pod, node, view, &mut s.infos, &mut s.groups);
+                    self.memo[i].entries.push((class, fresh));
+                    misses += 1;
+                    fresh
+                }
+            };
+            s.scored.push((i, scored));
         }
-        let misses = s.evals.len();
         optum_obs::counter!("optum.memo.hit", (s.candidates.len() - misses) as u64);
         if misses > 0 {
             optum_obs::counter!("optum.memo.miss", misses as u64);
-            self.score_misses(pod, view, &class, s);
         }
 
         // Idle hosts are a last resort: waking one forfeits the
@@ -967,11 +705,7 @@ impl OptumScheduler {
         let mut best_empty: Option<(usize, f64)> = None;
         let mut any_cpu_ok = false;
         let mut any_mem_ok = false;
-        // Misses were collected in candidate order, so the empty slots
-        // of `scored` take the fresh scores in sequence.
-        let mut fresh = s.fresh.iter();
-        for &(i, hit) in &s.scored {
-            let sc = hit.unwrap_or_else(|| *fresh.next().expect("one fresh score per miss"));
+        for &(i, sc) in &s.scored {
             let (score, cpu_ok, mem_ok) = (sc.score, sc.cpu_ok, sc.mem_ok);
             any_cpu_ok |= cpu_ok;
             any_mem_ok |= mem_ok;
@@ -1059,32 +793,47 @@ mod tests {
     use optum_sim::{AppStatsStore, AppUsageProfile, EroTable, ResidentPod};
     use optum_types::{ClusterConfig, NodeId, NodeSpec, PodId, Tick};
 
-    /// Training data with a strong utilization→PSI signal for app 0.
+    /// Training data with a strong utilization→PSI signal for app 0
+    /// and a completion-time signal for app 1. With five apps or more,
+    /// apps 3 and 4 have both models — they run as LS and as BE — at
+    /// other slopes, steeper the fuller the host's memory, so that
+    /// every dimension of an `RiKey` moves their reading. App 2 is
+    /// never modeled.
     fn training(n_apps: usize) -> TrainingData {
         use optum_sim::{CtSample, PsiSample};
         use optum_trace::hash_noise;
         let mut psi = Vec::new();
         let mut ct = Vec::new();
-        for i in 0..600 {
-            let host = hash_noise(5, 0, i);
-            let target = (0.9 * (host - 0.5).max(0.0) * 2.0).clamp(0.0, 1.0);
+        let mut push = |ls_app, be_app, host, host_mem, psi_target: f64, ct_target: f64| {
             psi.push(PsiSample {
-                app: AppId(0),
+                app: AppId(ls_app),
                 pod_cpu_util: 0.3,
                 pod_mem_util: 0.5,
                 host_cpu_util: host,
-                host_mem_util: 0.4,
+                host_mem_util: host_mem,
                 qps_norm: 0.8,
-                psi: target,
+                psi: psi_target.clamp(0.0, 1.0),
             });
             ct.push(CtSample {
-                app: AppId(1),
+                app: AppId(be_app),
                 max_pod_cpu_util: 0.3,
                 max_pod_mem_util: 0.9,
                 max_host_cpu_util: host,
-                max_host_mem_util: 0.4,
-                ct_norm: (0.6 * (host - 0.5).max(0.0)).clamp(0.0, 1.0),
+                max_host_mem_util: host_mem,
+                ct_norm: ct_target.clamp(0.0, 1.0),
             });
+        };
+        for i in 0..600 {
+            let host = hash_noise(5, 0, i);
+            let knee = (host - 0.5).max(0.0);
+            push(0, 1, host, 0.4, 0.9 * knee * 2.0, 0.6 * knee);
+            if n_apps >= 5 {
+                let mem = hash_noise(5, 1, i);
+                for (app, slope) in [(3, 0.3), (4, 0.15)] {
+                    let steep = slope * (0.5 + mem);
+                    push(app, app, host, mem, steep * knee, 3.0 * steep * knee);
+                }
+            }
         }
         let mut profiles = vec![
             AppUsageProfile {
@@ -1108,16 +857,11 @@ mod tests {
     }
 
     fn scheduler() -> OptumScheduler {
-        let data = training(3);
-        OptumScheduler::from_training(
-            OptumConfig {
-                min_candidates: 64,
-                ..OptumConfig::default()
-            },
-            &data,
-            ProfilerConfig::default(),
-        )
-        .unwrap()
+        scheduler_for(3, OptumConfig::default())
+    }
+
+    fn scheduler_for(n_apps: usize, config: OptumConfig) -> OptumScheduler {
+        OptumScheduler::from_training(config, &training(n_apps), ProfilerConfig::default()).unwrap()
     }
 
     fn resident(id: u32, app: u32, slo: SloClass, cpu: f64, mem: f64) -> ResidentPod {
@@ -1254,59 +998,6 @@ mod tests {
         match sched.select_node(&pod(0, SloClass::Ls), &view) {
             Decision::Unplaceable(_) => {}
             d => panic!("expected unplaceable, got {d:?}"),
-        }
-    }
-
-    #[test]
-    fn multithreaded_scoring_matches_single_thread() {
-        let data = training(3);
-        let mk = |threads| {
-            OptumScheduler::from_training(
-                OptumConfig {
-                    threads,
-                    sample_rate: 1.0,
-                    min_candidates: 1,
-                    ..OptumConfig::default()
-                },
-                &data,
-                ProfilerConfig::default(),
-            )
-            .unwrap()
-        };
-        let mut single = mk(1);
-        let mut multi = mk(4);
-        let apps = AppStatsStore::new(3);
-        let cluster = ClusterConfig::homogeneous(32);
-        let mut nodes: Vec<NodeRuntime> = cluster.nodes().map(NodeRuntime::new).collect();
-        for (i, node) in nodes.iter_mut().enumerate() {
-            for k in 0..(i % 5) {
-                node.add_pod(resident(
-                    (i * 8 + k) as u32,
-                    2,
-                    SloClass::Unknown,
-                    0.08,
-                    0.02,
-                ));
-            }
-        }
-        let view = ClusterView {
-            tick: Tick(0),
-            nodes: &nodes,
-            apps: &apps,
-            cluster: &cluster,
-            history_window: 10,
-            affinity: &[],
-        };
-        for k in 0..6 {
-            let p = pod(
-                k % 2,
-                if k % 2 == 0 {
-                    SloClass::Ls
-                } else {
-                    SloClass::Be
-                },
-            );
-            assert_eq!(single.select_node(&p, &view), multi.select_node(&p, &view));
         }
     }
 
@@ -1643,5 +1334,166 @@ mod tests {
         let view_short = view_of(&a[..3], &apps, &cluster, 0);
         sched.select_node(&ls, &view_short);
         assert_eq!(entries(&sched), [1; 3]);
+    }
+
+    // ---- Eq. 11 and the RI cache, from the outside ----------------------
+
+    /// The applications of `training(5)` with the classes they run as.
+    const KINDS: [(u32, SloClass); 7] = [
+        (0, SloClass::Ls),
+        (1, SloClass::Be),
+        (2, SloClass::Unknown),
+        (3, SloClass::Ls),
+        (3, SloClass::Be),
+        (4, SloClass::Ls),
+        (4, SloClass::Be),
+    ];
+
+    /// `n` seeded hosts of 0–12 residents of mixed kinds; seven hosts
+    /// in eight lack one kind, so the LS and the BE term also show up
+    /// alone.
+    fn random_hosts(seed: u64, n: usize) -> Vec<NodeRuntime> {
+        use optum_trace::hash_noise;
+        ClusterConfig::homogeneous(n)
+            .nodes()
+            .enumerate()
+            .map(|(h, spec)| {
+                let mut node = NodeRuntime::new(spec);
+                let draw = |k: u64| hash_noise(seed, h as u64, k);
+                for k in 0..(draw(0) * 13.0) as u64 {
+                    let kind = (draw(3 * k + 1) * 7.0) as usize;
+                    let (app, slo) = KINDS[if kind == h % 8 { (kind + 1) % 7 } else { kind }];
+                    let (cpu, mem) = (0.03 + 0.09 * draw(3 * k + 2), 0.02 + 0.2 * draw(3 * k + 3));
+                    node.add_pod(resident((16 * h as u64 + k) as u32, app, slo, cpu, mem));
+                }
+                node
+            })
+            .collect()
+    }
+
+    fn random_pod(seed: u64, k: u64) -> PodSpec {
+        use optum_trace::hash_noise;
+        let (app, slo) = KINDS[(hash_noise(seed, k, 0) * 7.0) as usize];
+        PodSpec {
+            request: Resources::new(
+                0.02 + 0.1 * hash_noise(seed, k, 1),
+                0.02 + 0.1 * hash_noise(seed, k, 2),
+            ),
+            ..pod(app, slo)
+        }
+    }
+
+    fn bits(e: &CandidateExplanation) -> ([u64; 5], [bool; 3]) {
+        (
+            [e.poc_util, e.pom_util, e.score, e.ls_ri, e.be_ri].map(f64::to_bits),
+            [e.feasible, e.cpu_ok, e.mem_ok],
+        )
+    }
+
+    #[test]
+    fn explain_is_equation_11_or_names_the_guard() {
+        let cfg = OptumConfig::default();
+        let mut full = scheduler_for(5, cfg);
+        let util_cfg = OptumConfig {
+            util_only: true,
+            ..cfg
+        };
+        let mut util_only = scheduler_for(5, util_cfg);
+        let mut tripped = scheduler_for(5, cfg);
+        tripped.set_outage_plan(vec![optum_chaos::OutageWindow {
+            start: Tick(0),
+            end: Tick(1),
+        }]);
+        let apps = AppStatsStore::new(5);
+        let cluster = ClusterConfig::homogeneous(48);
+        let nodes = random_hosts(11, 48);
+        let view = view_of(&nodes, &apps, &cluster, 0);
+        tripped.on_tick(&view);
+        assert_eq!(tripped.breaker_state(), BreakerState::Open);
+
+        // Feasible explanations seen with a positive LS and BE term,
+        // and rejections seen by the CPU, memory and PSI guard.
+        let (mut with_ls, mut with_be, mut by_cpu, mut by_mem, mut by_psi) = (0, 0, 0, 0, 0);
+        for k in 0..40 {
+            let p = random_pod(12, k);
+            for node in &nodes {
+                let e = full.explain(&p, node, &view);
+                let cpu_fits = e.poc_util <= cfg.cpu_guard;
+                let mem_fits = e.pom_util <= cfg.memory_guard;
+                assert_eq!(e.feasible, e.cpu_ok && e.mem_ok);
+                assert_eq!(e.mem_ok, mem_fits);
+                if e.feasible {
+                    let eq11 =
+                        e.poc_util * e.pom_util - cfg.omega_o * e.ls_ri - cfg.omega_b * e.be_ri;
+                    assert_eq!(e.score.to_bits(), eq11.to_bits());
+                    with_ls += usize::from(e.ls_ri > 0.0);
+                    with_be += usize::from(e.be_ri > 0.0);
+                } else {
+                    assert_eq!(e.score, f64::NEG_INFINITY);
+                    if cpu_fits && mem_fits {
+                        // Only the PSI guard is left, and it reports
+                        // as CPU pressure.
+                        assert!(!e.cpu_ok && e.ls_ri > cfg.psi_guard);
+                        by_psi += 1;
+                    } else {
+                        assert_eq!(e.cpu_ok, cpu_fits);
+                        assert_eq!((e.ls_ri, e.be_ri), (0.0, 0.0));
+                        by_cpu += usize::from(!cpu_fits);
+                        by_mem += usize::from(!mem_fits);
+                    }
+                }
+                for degraded in [&mut util_only, &mut tripped] {
+                    let d = degraded.explain(&p, node, &view);
+                    let score = if cpu_fits && mem_fits {
+                        e.poc_util * e.pom_util
+                    } else {
+                        f64::NEG_INFINITY
+                    };
+                    let expect = CandidateExplanation {
+                        score,
+                        feasible: cpu_fits && mem_fits,
+                        cpu_ok: cpu_fits,
+                        mem_ok: mem_fits,
+                        ls_ri: 0.0,
+                        be_ri: 0.0,
+                        ..e
+                    };
+                    assert_eq!(bits(&d), bits(&expect));
+                }
+            }
+        }
+        let seen = [with_ls, with_be, by_cpu, by_mem, by_psi];
+        assert!(seen.iter().all(|&n| n >= 10), "cases not covered: {seen:?}");
+    }
+
+    #[test]
+    fn a_warm_ri_cache_answers_as_a_cold_one() {
+        let apps = AppStatsStore::new(5);
+        let cluster = ClusterConfig::homogeneous(40);
+        let mut warm = scheduler_for(5, OptumConfig::default());
+        let busy = random_hosts(21, 40);
+        let view = view_of(&busy, &apps, &cluster, 0);
+        for k in 0..300 {
+            warm.select_node(&random_pod(22, k), &view);
+        }
+        let warmed = warm.ri_cache.len();
+        assert!(warmed >= 50, "only {warmed} RI keys after 300 decisions");
+
+        // Hosts and pods neither scheduler has seen: the warm one
+        // answers from its cache wherever a key matches.
+        let mut cold = scheduler_for(5, OptumConfig::default());
+        let unseen = random_hosts(23, 40);
+        let view = view_of(&unseen, &apps, &cluster, 0);
+        for k in 0..40 {
+            let p = random_pod(24, k);
+            for node in &unseen {
+                let (w, c) = (warm.explain(&p, node, &view), cold.explain(&p, node, &view));
+                assert_eq!(bits(&w), bits(&c), "pod {k}, host {:?}", node.spec.id);
+            }
+        }
+        assert!(
+            warm.ri_cache.len() < warmed + cold.ri_cache.len(),
+            "no key of the unseen hosts was already cached"
+        );
     }
 }

@@ -646,6 +646,19 @@ impl SimResult {
             / self.cluster_series.len() as f64
     }
 
+    /// Mean CPU utilization of the *active* hosts across the recorded
+    /// series (the quantity Fig. 19(a) compares between schedulers).
+    pub fn mean_active_cpu_util(&self) -> f64 {
+        if self.cluster_series.is_empty() {
+            return 0.0;
+        }
+        self.cluster_series
+            .iter()
+            .map(|s| s.mean_cpu_util_active)
+            .sum::<f64>()
+            / self.cluster_series.len() as f64
+    }
+
     /// Fraction of placed pods among all submitted.
     pub fn placement_rate(&self) -> f64 {
         if self.outcomes.is_empty() {

@@ -11,15 +11,6 @@ use optum_platform::sched::{AlibabaLike, BorgLike, RcLike};
 use optum_platform::sim::{run, SimConfig, SimResult};
 use optum_platform::tracegen::{generate, WorkloadConfig};
 
-fn active_util(result: &SimResult) -> f64 {
-    result
-        .cluster_series
-        .iter()
-        .map(|s| s.mean_cpu_util_active)
-        .sum::<f64>()
-        / result.cluster_series.len().max(1) as f64
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hosts = 60;
     let workload = generate(&WorkloadConfig::sized(hosts, 2, 42))?;
@@ -50,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         run(&workload, BorgLike::default(), SimConfig::new(hosts))?,
     ];
 
-    let base = active_util(&reference);
+    let base = reference.mean_active_cpu_util();
     println!(
         "\n{:<12} {:>10} {:>12} {:>10}",
         "scheduler", "util", "improvement", "violations"
@@ -63,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         reference.violations.rate()
     );
     for r in &contenders {
-        let u = active_util(r);
+        let u = r.mean_active_cpu_util();
         println!(
             "{:<12} {:>9.1}% {:>+10.1}pp {:>10.5}",
             r.scheduler,

@@ -3,7 +3,7 @@
 
 use optum_platform::optum::{OptumConfig, OptumScheduler, ProfilerConfig, TracingCoordinator};
 use optum_platform::sched::{AlibabaLike, BorgLike, Medea, NSigmaSched, RcLike};
-use optum_platform::sim::{run, SimConfig, SimResult};
+use optum_platform::sim::{run, SimConfig};
 use optum_platform::tracegen::{generate, WorkloadConfig};
 use optum_platform::types::{SloClass, Tick};
 
@@ -11,14 +11,6 @@ const HOSTS: usize = 40;
 
 fn workload() -> optum_platform::tracegen::Workload {
     generate(&WorkloadConfig::sized(HOSTS, 2, 77)).expect("generation succeeds")
-}
-
-fn active_util(r: &SimResult) -> f64 {
-    r.cluster_series
-        .iter()
-        .map(|s| s.mean_cpu_util_active)
-        .sum::<f64>()
-        / r.cluster_series.len().max(1) as f64
 }
 
 #[test]
@@ -45,7 +37,10 @@ fn full_optum_pipeline_improves_on_reference() {
     );
     // The headline: higher active-host utilization than the
     // production-like reference, with no capacity violations.
-    let (base, opt) = (active_util(&reference), active_util(&result));
+    let (base, opt) = (
+        reference.mean_active_cpu_util(),
+        result.mean_active_cpu_util(),
+    );
     assert!(
         opt > base + 0.02,
         "expected consolidation: optum {opt:.3} vs reference {base:.3}"

@@ -73,7 +73,7 @@ fn runner_fan_out_matches_serial_evals() {
     };
     let serial: Vec<_> = roster()
         .into_iter()
-        .map(|s| runner.run_eval(s).unwrap())
+        .map(|s| runner.run_eval(&runner.workload, s, |_| {}).unwrap())
         .collect();
     for threads in [2, 3] {
         let mut parallel_runner = Runner::new(tiny()).unwrap();
