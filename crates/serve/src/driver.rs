@@ -34,7 +34,7 @@ use std::time::Duration;
 use optum_types::{Error, Result, SplitMix64};
 
 use crate::proto::{
-    read_frame, send_request, ErrCode, FrameError, Reply, Request, SlotHealth, PROTO_VERSION,
+    read_frame, send_request, tune, ErrCode, FrameError, Reply, Request, SlotHealth, PROTO_VERSION,
 };
 use crate::server::ServeConfig;
 use crate::summary::SessionSummary;
@@ -325,9 +325,6 @@ fn slot_loop(
                     )));
                 }
                 streak = if hello_ok { 1 } else { streak + 1 };
-                if std::env::var_os("OPTUM_DRIVE_DEBUG").is_some() {
-                    eprintln!("[drive] slot {slot} attempt {attempt} lost: {why}");
-                }
                 counts.retries += 1;
                 optum_obs::counter!("drive.reconnects");
                 let base = cfg
@@ -540,6 +537,7 @@ fn try_session(
 fn connect(addr: &str, read_timeout_ms: Option<u64>) -> Result<TcpStream> {
     let stream = TcpStream::connect(addr)
         .map_err(|e| Error::InvalidConfig(format!("cannot connect to {addr}: {e}")))?;
+    tune(&stream);
     if let Some(ms) = read_timeout_ms {
         stream
             .set_read_timeout(Some(Duration::from_millis(ms.max(1))))

@@ -35,7 +35,7 @@ pub mod summary;
 pub use driver::{drive, DriverConfig, DriverReport, StatsView, WireCounts};
 pub use netchaos::{ChaosProxy, NetChaosPlan, ProxyReport};
 pub use proto::{
-    read_frame, send_reply, send_request, write_frame, ErrCode, FrameError, Reply, Request,
+    read_frame, send_reply, send_request, tune, write_frame, ErrCode, FrameError, Reply, Request,
     SlotHealth, MAX_FRAME, PROTO_VERSION,
 };
 pub use server::{ServeConfig, ServeOutcome, Server};

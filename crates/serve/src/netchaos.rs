@@ -34,7 +34,7 @@ use std::time::Duration;
 
 use optum_types::{Error, Result, SplitMix64};
 
-use crate::proto::{read_frame, write_frame, FrameError};
+use crate::proto::{read_frame, tune, write_frame, FrameError};
 
 /// Fate channel for `stream(seed, conn, CH_FATE)`.
 const CH_FATE: u64 = 0xFA7E;
@@ -271,6 +271,7 @@ fn accept_loop(
             break;
         }
         let Ok(client) = client else { continue };
+        tune(&client);
         // Reap relays whose connections already ended: under a
         // reconnect storm the registry would otherwise accumulate one
         // zombie thread per connection until the proxy drops.
@@ -313,6 +314,9 @@ fn relay_conn(
         let _ = client.shutdown(Shutdown::Both);
         return;
     };
+    // Untuned, a `Delay(ms)` fate costs `ms` plus whatever Nagle adds on
+    // either hop: the proxy would be measuring the kernel, not the fault.
+    tune(&server);
     let (Ok(client_r), Ok(server_w)) = (client.try_clone(), server.try_clone()) else {
         let _ = client.shutdown(Shutdown::Both);
         let _ = server.shutdown(Shutdown::Both);

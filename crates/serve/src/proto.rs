@@ -21,6 +21,7 @@
 //!   consumed before decoding began.
 
 use std::io::{self, Read, Write};
+use std::net::TcpStream;
 
 use optum_sim::{SnapReader, SnapWriter};
 use optum_types::Result;
@@ -645,6 +646,25 @@ pub fn send_reply(w: &mut impl Write, reply: &Reply) -> io::Result<()> {
     write_frame(w, &reply.encode())
 }
 
+/// Makes a freshly opened socket latency-correct: `TCP_NODELAY` on.
+/// Every stream the product creates — accepted or connected, server,
+/// driver or chaos proxy — passes through here exactly once, at birth.
+///
+/// Both peers write whole frames into a `BufWriter` and flush when they
+/// have nothing more to say, so the userspace buffer is the one place
+/// frames are coalesced. Nagle on top of that only ever *holds* a
+/// flushed frame: until the peer's next segment carries the ACK of the
+/// previous one or, when the peer has nothing to send, until its
+/// 40 ms delayed-ACK timer fires. There is no workload where that wait
+/// buys anything here, hence no switch.
+///
+/// The result of `set_nodelay` is dropped on purpose: it fails only on
+/// a socket that is already dead, and the first read or write on that
+/// socket reports the same condition to code that can act on it.
+pub fn tune(stream: &TcpStream) {
+    let _ = stream.set_nodelay(true);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -674,5 +694,44 @@ mod tests {
         }
         let payload = read_frame(&mut cur).unwrap();
         assert_eq!(Request::decode(&payload).unwrap(), Request::Stats);
+    }
+
+    #[test]
+    fn tuned_loopback_pair_has_nodelay_on_both_ends() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let connected = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!connected.nodelay().unwrap(), "the OS default is Nagle on");
+        tune(&connected);
+        tune(&accepted);
+        assert!(connected.nodelay().unwrap());
+        assert!(accepted.nodelay().unwrap());
+    }
+
+    /// Every socket the product opens is born through [`tune`]. Per
+    /// source file: how many `TcpStream::connect*` calls and
+    /// `.incoming()` loops it has, and how many `tune(` calls. The only
+    /// untuned births are the two self-wake connects (`Server::run`,
+    /// `ChaosProxy::drop`), which are dropped without carrying a byte.
+    /// A new socket makes a count move: tune it, then update the row.
+    #[test]
+    fn every_product_socket_is_born_through_tune() {
+        let code = |src: &str| -> String {
+            src.lines()
+                .filter(|l| !l.trim_start().starts_with("//"))
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        for (file, src, connects, accepts, tuned) in [
+            ("server.rs", include_str!("server.rs"), 1, 1, 1),
+            ("driver.rs", include_str!("driver.rs"), 1, 0, 1),
+            ("netchaos.rs", include_str!("netchaos.rs"), 2, 1, 2),
+        ] {
+            let src = code(src);
+            let count = |needle: &str| src.matches(needle).count();
+            assert_eq!(count("TcpStream::connect"), connects, "{file}: connects");
+            assert_eq!(count(".incoming()"), accepts, "{file}: accept loops");
+            assert_eq!(count("tune(&"), tuned, "{file}: tuned sockets");
+        }
     }
 }

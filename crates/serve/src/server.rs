@@ -56,7 +56,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use optum_sched::AlibabaLike;
 use optum_sim::{read_snapshot_file, SimConfig, Simulator, SubmitEntry};
@@ -64,7 +64,7 @@ use optum_trace::{generate, rescale_arrivals, Workload, WorkloadConfig};
 use optum_types::{Error, PodId, Result, Tick};
 
 use crate::proto::{
-    read_frame, send_reply, ErrCode, FrameError, Reply, Request, SlotHealth, PROTO_VERSION,
+    read_frame, send_reply, tune, ErrCode, FrameError, Reply, Request, SlotHealth, PROTO_VERSION,
 };
 use crate::summary::SessionSummary;
 
@@ -89,6 +89,12 @@ const ATTACHED_EVICT_IDLE: u32 = 8;
 /// comfortably exceed the driver's reconnect backoff cap (2 s) so a
 /// client mid-backoff when the session completes still gets through.
 const LINGER_IDLE_POLLS: u32 = 100;
+
+/// How long the teardown lets writer threads drain and flush on their
+/// own before it shuts their sockets under them. A healthy writer needs
+/// one scheduling quantum; only a client that stopped reading while its
+/// socket buffers were full takes the whole budget.
+const TEARDOWN_FLUSH: Duration = Duration::from_secs(1);
 
 /// Ceiling on the slot-table size a `hello` may fix.
 const MAX_SLOTS: u64 = 4096;
@@ -382,36 +388,55 @@ impl Server {
 
         let outcome = engine_loop(&self.cfg, sim, &rx, &arrivals);
 
-        // Unblock the accept loop, then force-unblock any reader still
-        // parked in `read_frame` (a client that never closed its
-        // socket) and join everything: no thread or fd outlives the
-        // session. Writers exit on their own once the engine's reply
-        // senders drop, flushing their last frames (clients must see
-        // `Drained` before we go). The wake-up connect is bounded: if
-        // the listen backlog is already full (clients racing reconnects
-        // against a dying session), the accept loop has queued work and
-        // will see `done` on its own — a blocking connect here could
-        // deadlock the teardown against that very backlog.
-        if std::env::var_os("OPTUM_SERVE_DEBUG").is_some() {
-            if let Err(e) = &outcome {
-                eprintln!("[serve] engine loop failed: {e}");
-            }
+        if outcome.is_err() {
+            optum_obs::counter!("serve.engine_errors");
         }
+
+        // Teardown: no thread or fd outlives the session, and no reply
+        // the engine queued is lost on the way out.
+        //
+        // 1. Stop the accept loop. The wake-up connect is bounded: if
+        //    the listen backlog is already full (clients racing
+        //    reconnects against a dying session), the accept loop has
+        //    queued work and will see `done` on its own — a blocking
+        //    connect here could deadlock the teardown against that very
+        //    backlog.
+        // 2. Drop the event receiver. `engine_loop` took its connection
+        //    table with it; events still queued (a connection accepted
+        //    in the races around `done`) hold the last reply senders.
+        // 3. Join the writers *before* any socket is touched. With
+        //    every sender gone each one drains its queue, flushes and
+        //    exits by itself — that flush is the `Draining`, `Evicted`
+        //    or `Drained` the client is waiting for, and a socket shut
+        //    down first turns it into EPIPE and the client's EOF.
+        // 4. Only then shut the sockets, which unblocks readers parked
+        //    in `read_frame` (a client that never closed) and any
+        //    writer that outlived step 3, and join what is left.
         done.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect_timeout(&self.local_addr(), Duration::from_secs(1));
         let _ = accept.join();
-        // Events still queued (a connection accepted in the races
-        // around `done`) hold reply senders; drop them with the
-        // receiver so every writer sees disconnect and can exit —
-        // otherwise the writer joins below would wait forever.
         drop(rx);
+        // A writer blocked in `write` on a client that stopped reading
+        // never finishes by itself, hence the deadline. (`SO_SNDTIMEO`
+        // cannot do this: the kernel reads it when a send starts, so
+        // set now it is invisible to the blocked call, and set at
+        // accept it would cut off the open-loop driver, which by design
+        // reads nothing until its whole plan is on the wire.)
+        let writer_handles = std::mem::take(&mut *writers.lock().expect("writer registry"));
+        let deadline = Instant::now() + TEARDOWN_FLUSH;
+        while writer_handles.iter().any(|h| !h.is_finished()) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let stuck = writer_handles.iter().filter(|h| !h.is_finished()).count();
+        if stuck > 0 {
+            optum_obs::counter!("serve.teardown_stuck_writers", stuck as u64);
+        }
         let reader_handles = std::mem::take(&mut *readers.lock().expect("reader registry"));
         for (stream, handle) in reader_handles {
             let _ = stream.shutdown(Shutdown::Both);
             let _ = handle.join();
         }
-        let handles = std::mem::take(&mut *writers.lock().expect("writer registry"));
-        for h in handles {
+        for h in writer_handles {
             let _ = h.join();
         }
         outcome
@@ -445,6 +470,7 @@ fn accept_loop(
             Ok(s) => s,
             Err(_) => continue,
         };
+        tune(&stream);
         let id = next_id;
         next_id += 1;
         let write_half = match stream.try_clone() {
@@ -503,6 +529,12 @@ fn reap_registries(writers: &Mutex<Vec<JoinHandle<()>>>, readers: &Mutex<ReaderS
     }
 }
 
+/// Replies → socket. With `TCP_NODELAY` on (see [`tune`]) the kernel
+/// sends what it is given when it is given it, so the drain-then-flush
+/// below is the only place replies are coalesced: everything the
+/// engine queued while the previous flush was in progress leaves in
+/// one write. `serve.reply_frames / serve.reply_flushes` is that
+/// layer's useful-work ratio.
 fn writer_loop(stream: TcpStream, rx: mpsc::Receiver<Outbound>) {
     let mut w = std::io::BufWriter::new(stream);
     let mut close = false;
@@ -510,12 +542,14 @@ fn writer_loop(stream: TcpStream, rx: mpsc::Receiver<Outbound>) {
         let Ok(first) = rx.recv() else { break };
         // Batch whatever else is already queued, then flush once.
         let mut pending = Some(first);
+        let mut frames = 0u64;
         while let Some(out) = pending.take() {
             match out {
                 Outbound::Reply(reply) => {
                     if send_reply(&mut w, &reply).is_err() {
                         return;
                     }
+                    frames += 1;
                 }
                 Outbound::Shutdown => {
                     close = true;
@@ -526,6 +560,10 @@ fn writer_loop(stream: TcpStream, rx: mpsc::Receiver<Outbound>) {
         }
         if std::io::Write::flush(&mut w).is_err() {
             return;
+        }
+        if frames > 0 {
+            optum_obs::counter!("serve.reply_frames", frames);
+            optum_obs::counter!("serve.reply_flushes");
         }
     }
     if close {
@@ -752,13 +790,6 @@ fn linger_for_acks(
 ) -> Result<ServeOutcome> {
     let mut acked: Vec<bool> = sess.slots.iter().map(|s| s.evicted).collect();
     let mut idle = 0u32;
-    let debug = std::env::var_os("OPTUM_SERVE_DEBUG").is_some();
-    if debug {
-        eprintln!(
-            "[serve] linger enter: acked={acked:?} attached={:?}",
-            sess.slots.iter().map(|s| s.attached).collect::<Vec<_>>()
-        );
-    }
     while !acked.iter().all(|&a| a) && idle < LINGER_IDLE_POLLS {
         // SIGTERM during linger: the session is complete; just go.
         if let Some(flag) = cfg.drain_on {
@@ -780,8 +811,8 @@ fn linger_for_acks(
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
         }
     }
-    if debug {
-        eprintln!("[serve] linger exit: acked={acked:?} idle={idle}");
+    if idle >= LINGER_IDLE_POLLS {
+        optum_obs::counter!("serve.linger_idle_exits");
     }
     Ok(ServeOutcome::Completed(summary))
 }

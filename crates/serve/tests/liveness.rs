@@ -8,12 +8,14 @@
 //! socket open past the end of the session.
 
 use std::io::{BufReader, BufWriter, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 use optum_serve::{
-    drive, read_frame, send_request, DriverConfig, Reply, Request, ServeConfig, ServeOutcome,
-    Server,
+    drive, read_frame, send_request, tune, DriverConfig, ErrCode, Reply, Request, ServeConfig,
+    ServeOutcome, Server, SessionSummary,
 };
 
 /// A tiny session so these tests stay fast.
@@ -42,6 +44,7 @@ struct RawClient {
 impl RawClient {
     fn connect(addr: &str) -> RawClient {
         let stream = TcpStream::connect(addr).expect("connect");
+        tune(&stream);
         let read_half = stream.try_clone().expect("clone");
         RawClient {
             w: BufWriter::new(stream),
@@ -81,7 +84,41 @@ impl RawClient {
         let payload = read_frame(&mut self.r).expect("read reply frame");
         Reply::decode(&payload).expect("decode reply")
     }
+
+    /// Reads verdicts to the end of the session and acks the summary
+    /// with `bye`, as the driver does — without the ack the server
+    /// lingers for its whole idle budget (5 s) before `run()` returns.
+    /// Hands back the summary and how many verdicts were `dup`.
+    fn recv_until_drained(&mut self) -> (SessionSummary, u64) {
+        let mut dups = 0u64;
+        loop {
+            match self.recv() {
+                Reply::Queued { .. } | Reply::Shed { .. } => {}
+                Reply::Dup { .. } => dups += 1,
+                Reply::Drained(summary) => {
+                    self.send(&Request::Bye);
+                    self.flush();
+                    return (summary, dups);
+                }
+                other => panic!("unexpected reply: {other:?}"),
+            }
+        }
+    }
+
+    /// Submits a whole plan, then `drain`, and flushes.
+    fn submit_all_and_drain(&mut self, plan: &[(u64, u32)]) {
+        for &(tick, pod) in plan {
+            self.send(&Request::Submit { tick, pod });
+        }
+        self.send(&Request::Drain);
+        self.flush();
+    }
 }
+
+/// Two tests below are about wall time under CPU pressure: one creates
+/// the pressure, the other times 10 ms-scale waits. They take this lock
+/// so neither runs inside the other.
+static CPU: Mutex<()> = Mutex::new(());
 
 /// The stalled-connection regression the lease exists for: one slot
 /// submits everything and drains, the other says `hello` and then
@@ -112,19 +149,8 @@ fn silent_client_is_evicted_and_the_session_completes() {
     // Slot 0: the whole plan, then drain, then wait for the summary.
     let mut active = RawClient::connect(&addr);
     assert!(matches!(active.hello(&cfg, 0, 2), Reply::HelloOk { .. }));
-    for &(tick, pod) in &plans[0] {
-        active.send(&Request::Submit { tick, pod });
-    }
-    active.send(&Request::Drain);
-    active.flush();
-
-    let summary = loop {
-        match active.recv() {
-            Reply::Queued { .. } | Reply::Shed { .. } | Reply::Dup { .. } => {}
-            Reply::Drained(summary) => break summary,
-            other => panic!("unexpected reply: {other:?}"),
-        }
-    };
+    active.submit_all_and_drain(&plans[0]);
+    let (summary, _) = active.recv_until_drained();
     let outcome = server_thread.join().expect("server thread").expect("run");
     assert_eq!(outcome, ServeOutcome::Completed(summary.clone()));
 
@@ -157,35 +183,30 @@ fn silent_client_is_evicted_and_the_session_completes() {
     );
 }
 
-/// A connection killed halfway through a submit frame must not wedge
-/// the daemon: the reader reports the truncation, the slot detaches,
-/// a reconnect re-hellos the same slot and resubmits idempotently,
-/// and the final digest equals an undisturbed session's.
-#[test]
-fn mid_frame_death_then_reconnect_converges() {
-    let cfg = tiny();
+/// Digest of an undisturbed two-slot `tiny()` session, via the ordinary
+/// driver; computed once per test binary.
+fn fault_free_digest() -> u64 {
+    static DIGEST: OnceLock<u64> = OnceLock::new();
+    *DIGEST.get_or_init(|| {
+        let cfg = tiny();
+        let server = Server::bind(cfg.clone(), "127.0.0.1:0").expect("bind");
+        let addr = server.local_addr().to_string();
+        let server_thread = std::thread::spawn(move || server.run());
+        let report =
+            drive(&DriverConfig::new(addr, cfg, 2, "baseline".into())).expect("baseline session");
+        server_thread.join().expect("join").expect("run");
+        report.summary.digest
+    })
+}
 
-    // Undisturbed baseline digest, via the ordinary driver.
-    let server = Server::bind(cfg.clone(), "127.0.0.1:0").expect("bind");
-    let addr = server.local_addr().to_string();
-    let baseline_thread = std::thread::spawn(move || server.run());
-    let baseline = drive(&DriverConfig::new(addr, cfg.clone(), 2, "baseline".into()))
-        .expect("baseline session");
-    baseline_thread.join().expect("join").expect("run");
-
-    let server = Server::bind(cfg.clone(), "127.0.0.1:0").expect("bind");
-    let addr = server.local_addr().to_string();
-    let server_thread = std::thread::spawn(move || server.run());
-    let plans = plans(&cfg, 2);
-
-    // Slot 1 submits a few pods, then dies mid-frame: length prefix
-    // plus half a payload, then a hard close.
-    let mut dying = RawClient::connect(&addr);
-    assert!(matches!(dying.hello(&cfg, 1, 2), Reply::HelloOk { .. }));
-    for &(tick, pod) in plans[1].iter().take(3) {
+/// Slot 1's first three submits followed by the length prefix and half
+/// the payload of the fourth, written into `dying`'s buffer — what a
+/// client that dies mid-frame leaves behind. Not flushed.
+fn write_three_and_a_half_submits(dying: &mut RawClient, plan: &[(u64, u32)]) {
+    for &(tick, pod) in plan.iter().take(3) {
         dying.send(&Request::Submit { tick, pod });
     }
-    let (tick, pod) = plans[1][3];
+    let (tick, pod) = plan[3];
     let payload = Request::Submit { tick, pod }.encode();
     let len = payload.len() as u32;
     dying.w.write_all(&len.to_le_bytes()).expect("prefix");
@@ -193,48 +214,118 @@ fn mid_frame_death_then_reconnect_converges() {
         .w
         .write_all(&payload[..payload.len() / 2])
         .expect("half payload");
-    dying.flush();
-    drop(dying); // abrupt close, mid-frame
+}
 
-    // The daemon keeps serving: a fresh connection takes over slot 1
-    // and replays the plan from the start (dups for the prefix).
-    let mut retry = RawClient::connect(&addr);
-    assert!(matches!(retry.hello(&cfg, 1, 2), Reply::HelloOk { .. }));
-    for &(tick, pod) in &plans[1] {
-        retry.send(&Request::Submit { tick, pod });
-    }
-    retry.send(&Request::Drain);
-    retry.flush();
+/// The rest of a mid-frame-death session: `retry` (already bound to
+/// slot 1) replays slot 1's plan from the start, slot 0 runs normally,
+/// and the session must converge to the fault-free digest with nothing
+/// denied. Returns how many of `retry`'s submits answered `dup`.
+fn replay_to_convergence(
+    cfg: &ServeConfig,
+    addr: &str,
+    mut retry: RawClient,
+    plans: &[Vec<(u64, u32)>],
+    server_thread: std::thread::JoinHandle<optum_types::Result<ServeOutcome>>,
+) -> u64 {
+    retry.submit_all_and_drain(&plans[1]);
+    let mut active = RawClient::connect(addr);
+    assert!(matches!(active.hello(cfg, 0, 2), Reply::HelloOk { .. }));
+    active.submit_all_and_drain(&plans[0]);
 
-    // Slot 0 runs its plan normally.
-    let mut active = RawClient::connect(&addr);
-    assert!(matches!(active.hello(&cfg, 0, 2), Reply::HelloOk { .. }));
-    for &(tick, pod) in &plans[0] {
-        active.send(&Request::Submit { tick, pod });
-    }
-    active.send(&Request::Drain);
-    active.flush();
-
-    let mut dups = 0u64;
-    let summary = loop {
-        match retry.recv() {
-            Reply::Queued { .. } | Reply::Shed { .. } => {}
-            Reply::Dup { .. } => dups += 1,
-            Reply::Drained(summary) => break summary,
-            other => panic!("unexpected reply on retry conn: {other:?}"),
-        }
-    };
+    let (summary, dups) = retry.recv_until_drained();
+    let (seen_by_active, _) = active.recv_until_drained();
     server_thread.join().expect("server thread").expect("run");
-
+    assert_eq!(seen_by_active, summary);
     assert_eq!(
-        summary.digest, baseline.summary.digest,
+        summary.digest,
+        fault_free_digest(),
         "mid-frame death plus reconnect must converge to the fault-free digest"
     );
+    assert_eq!(summary.disconnected, 0, "nothing was denied — only delayed");
+    dups
+}
+
+/// A connection killed halfway through a submit frame must not wedge
+/// the daemon: the reader reports the truncation, the slot detaches, a
+/// reconnect re-hellos the same slot and resubmits idempotently, and
+/// the final digest equals an undisturbed session's.
+///
+/// Whether the dying connection's submits are ingested depends on
+/// whether they reach the engine before the replacement's `hello`
+/// displaces it — two reader threads racing into one event queue. The
+/// protocol promises convergence either way, not an order, so each
+/// order is made causal and tested on its own. Here the old frames win:
+/// the client half-closes and waits for the server's `truncated frame`
+/// error, which travels the same queue behind the three submits.
+#[test]
+fn mid_frame_death_ingested_before_the_reconnect_answers_dups() {
+    let cfg = tiny();
+    let server = Server::bind(cfg.clone(), "127.0.0.1:0").expect("bind");
+    let addr = server.local_addr().to_string();
+    let server_thread = std::thread::spawn(move || server.run());
+    let plans = plans(&cfg, 2);
+
+    let mut dying = RawClient::connect(&addr);
+    assert!(matches!(dying.hello(&cfg, 1, 2), Reply::HelloOk { .. }));
+    write_three_and_a_half_submits(&mut dying, &plans[1]);
+    dying.flush();
+    dying
+        .w
+        .get_ref()
+        .shutdown(Shutdown::Write)
+        .expect("half-close");
+    match dying.recv() {
+        Reply::Error { code, message } => {
+            assert_eq!(code, ErrCode::Malformed);
+            assert_eq!(message, "truncated frame");
+        }
+        other => panic!("expected the truncation error, got {other:?}"),
+    }
+    drop(dying);
+
+    let mut retry = RawClient::connect(&addr);
+    match retry.hello(&cfg, 1, 2) {
+        Reply::HelloOk { cursor, .. } => assert_eq!(cursor, 3, "three submits were ingested"),
+        other => panic!("unexpected handshake reply: {other:?}"),
+    }
+    let dups = replay_to_convergence(&cfg, &addr, retry, &plans, server_thread);
     assert_eq!(
         dups, 3,
         "the three pods ingested before the death are acknowledged as dups"
     );
-    assert_eq!(summary.disconnected, 0, "nothing was denied — only delayed");
+}
+
+/// The other order: the replacement's `hello` is answered before the
+/// dying connection has put a byte of its submits on the wire. The
+/// server has shut the displaced socket by then, so whatever still
+/// arrives on it is refused (`submit before hello`) or never read —
+/// nothing is ingested and the replay sees no duplicates.
+#[test]
+fn mid_frame_death_displaced_before_it_flushes_is_refused() {
+    let cfg = tiny();
+    let server = Server::bind(cfg.clone(), "127.0.0.1:0").expect("bind");
+    let addr = server.local_addr().to_string();
+    let server_thread = std::thread::spawn(move || server.run());
+    let plans = plans(&cfg, 2);
+
+    let mut dying = RawClient::connect(&addr);
+    assert!(matches!(dying.hello(&cfg, 1, 2), Reply::HelloOk { .. }));
+    write_three_and_a_half_submits(&mut dying, &plans[1]);
+
+    let mut retry = RawClient::connect(&addr);
+    match retry.hello(&cfg, 1, 2) {
+        Reply::HelloOk { cursor, .. } => assert_eq!(cursor, 0, "nothing was ingested"),
+        other => panic!("unexpected handshake reply: {other:?}"),
+    }
+    // The displaced socket may already be reset under the flush.
+    let _ = dying.w.flush();
+    drop(dying); // abrupt close, mid-frame
+
+    let dups = replay_to_convergence(&cfg, &addr, retry, &plans, server_thread);
+    assert_eq!(
+        dups, 0,
+        "a displaced connection's frames are never ingested"
+    );
 }
 
 /// A re-`hello` for a slot that is still attached displaces the old
@@ -260,54 +351,283 @@ fn rehello_displaces_the_old_connection() {
         "displaced connection must be shut down"
     );
 
-    for &(tick, pod) in &plans[0] {
-        new.send(&Request::Submit { tick, pod });
-    }
-    new.send(&Request::Drain);
-    new.flush();
-    loop {
-        match new.recv() {
-            Reply::Queued { .. } | Reply::Shed { .. } | Reply::Dup { .. } => {}
-            Reply::Drained(_) => break,
-            other => panic!("unexpected reply: {other:?}"),
-        }
-    }
+    new.submit_all_and_drain(&plans[0]);
+    new.recv_until_drained();
     server_thread.join().expect("server thread").expect("run");
 }
 
-/// Graceful drain: when the drain flag flips, every connected client
-/// gets a clean `draining` reply and the server returns
-/// [`ServeOutcome::Drained`] instead of a summary.
-#[test]
-fn drain_flag_stops_the_session_cleanly() {
-    let mut cfg = tiny();
-    let flag: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
-    cfg.drain_on = Some(flag);
+/// One session ended by the drain flag: a client submits a few pods,
+/// the flag flips, and the client must read whatever verdicts were in
+/// flight, then `draining`, then EOF, while `run()` returns
+/// [`ServeOutcome::Drained`] at the same tick. The engine looks at the
+/// flag after every event and at its 50 ms idle poll; with `wake` the
+/// client sends a `stats` behind the flip so the session does not wait
+/// for the poll.
+fn session_ended_by_the_drain_flag(cfg: &ServeConfig, flag: &AtomicBool, wake: bool) {
+    flag.store(false, Ordering::SeqCst);
     let server = Server::bind(cfg.clone(), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr().to_string();
     let server_thread = std::thread::spawn(move || server.run());
 
-    let plans = plans(&cfg, 1);
+    let plans = plans(cfg, 1);
     let mut client = RawClient::connect(&addr);
-    assert!(matches!(client.hello(&cfg, 0, 1), Reply::HelloOk { .. }));
+    assert!(matches!(client.hello(cfg, 0, 1), Reply::HelloOk { .. }));
     for &(tick, pod) in plans[0].iter().take(8) {
         client.send(&Request::Submit { tick, pod });
     }
     client.flush();
-
     flag.store(true, Ordering::SeqCst);
+    if wake {
+        client.send(&Request::Stats);
+        client.flush();
+    }
 
-    // Whatever verdicts were in flight arrive first, then `draining`.
     let tick = loop {
         match client.recv() {
-            Reply::Queued { .. } | Reply::Shed { .. } | Reply::Dup { .. } => {}
+            Reply::Queued { .. } | Reply::Shed { .. } | Reply::StatsOk { .. } => {}
             Reply::Draining { tick } => break tick,
             other => panic!("unexpected reply while draining: {other:?}"),
         }
     };
     let outcome = server_thread.join().expect("server thread").expect("run");
     assert_eq!(outcome, ServeOutcome::Drained { tick });
-
     // And the socket is closed cleanly after the draining reply.
     assert!(read_frame(&mut client.r).is_err());
+}
+
+/// A drain flag that can be handed to a [`ServeConfig`].
+fn drain_flag() -> &'static AtomicBool {
+    Box::leak(Box::new(AtomicBool::new(false)))
+}
+
+/// Graceful drain: when the drain flag flips, every connected client
+/// gets a clean `draining` reply and the server returns
+/// [`ServeOutcome::Drained`] instead of a summary — here noticed by the
+/// engine's idle poll alone.
+#[test]
+fn drain_flag_stops_the_session_cleanly() {
+    let mut cfg = tiny();
+    let flag = drain_flag();
+    cfg.drain_on = Some(flag);
+    session_ended_by_the_drain_flag(&cfg, flag, false);
+}
+
+/// The last reply must survive the teardown. `run()` used to shut every
+/// socket down before it joined the writer threads, so a writer that
+/// had not been scheduled yet lost its final flush to EPIPE and the
+/// client read EOF instead of `Draining`. Whether the writer gets
+/// scheduled in time is a matter of CPU pressure, so this runs many
+/// drain sessions with every core kept busy; at the parent commit a
+/// session read EOF in sixteen runs of sixteen, six of them within the
+/// first three sessions.
+#[test]
+fn draining_reply_survives_teardown_under_cpu_pressure() {
+    const SESSIONS: usize = 100;
+    let _cpu = CPU.lock().unwrap_or_else(|e| e.into_inner());
+    /// Stops the spinners when the test ends, pass or panic.
+    struct Spinners(&'static AtomicBool);
+    impl Drop for Spinners {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    let stop: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
+    let _spinners = Spinners(stop);
+    let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
+    for _ in 0..cores {
+        std::thread::spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                std::hint::spin_loop();
+            }
+        });
+    }
+
+    let mut cfg = tiny();
+    let flag = drain_flag();
+    cfg.drain_on = Some(flag);
+    for _ in 0..SESSIONS {
+        session_ended_by_the_drain_flag(&cfg, flag, true);
+    }
+}
+
+/// A verdict leaves when it is ready. A two-slot client replays its
+/// plan one tick per flush, a quarter of a millisecond apart (a long
+/// enough conversation that the kernel has left its initial quick-ACK
+/// mode), reads every verdict that can be given before `drain`, writes
+/// `drain` and from then on only reads. The server answers in two
+/// flushes — the last ticks' verdicts, then, once the window has run
+/// out, `Drained`. With Nagle on, the second waits for the ACK of the
+/// first, and a client with nothing to send delays that ACK by 40 ms:
+/// `drain` written → `Drained` read measured 42.9–53.5 ms at the parent
+/// commit on each of nine attempts and 1.0–1.8 ms with `TCP_NODELAY`
+/// (debug build, 2 vCPUs). The bound is a third of the former and eight
+/// times the latter; the best of five sessions is judged, so that a
+/// stall of the host does not fail the test and a held reply, which
+/// costs nearly every session its 40 ms, still does (nine runs of ten
+/// at the parent).
+#[test]
+fn drained_follows_drain_without_waiting_for_a_delayed_ack() {
+    const BOUND: Duration = Duration::from_millis(15);
+    let _cpu = CPU.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = tiny();
+    let plans = plans(&cfg, 2);
+    let mut best = Duration::MAX;
+    for _ in 0..5 {
+        let server = Server::bind(cfg.clone(), "127.0.0.1:0").expect("bind");
+        let addr = server.local_addr().to_string();
+        let server_thread = std::thread::spawn(move || server.run());
+        let mut slots: Vec<RawClient> = (0..2)
+            .map(|s| {
+                let mut c = RawClient::connect(&addr);
+                assert!(matches!(c.hello(&cfg, s, 2), Reply::HelloOk { .. }));
+                c
+            })
+            .collect();
+
+        let mut next = [0usize; 2];
+        while next[0] < plans[0].len() || next[1] < plans[1].len() {
+            let tick = (0..2)
+                .filter_map(|s| plans[s].get(next[s]).map(|&(t, _)| t))
+                .min()
+                .expect("a slot has pods left");
+            for s in 0..2 {
+                while let Some(&(t, pod)) = plans[s].get(next[s]).filter(|&&(t, _)| t == tick) {
+                    slots[s].send(&Request::Submit { tick: t, pod });
+                    next[s] += 1;
+                }
+                slots[s].flush();
+            }
+            std::thread::sleep(Duration::from_micros(250));
+        }
+        // Every tick below the lower of the two final watermarks can
+        // close before `drain`. Reading those verdicts first means the
+        // timed part starts with the engine caught up and idle.
+        let closable = plans[0]
+            .last()
+            .expect("pods")
+            .0
+            .min(plans[1].last().expect("pods").0);
+        for s in 0..2 {
+            for _ in plans[s].iter().filter(|&&(t, _)| t < closable) {
+                assert!(matches!(
+                    slots[s].recv(),
+                    Reply::Queued { .. } | Reply::Shed { .. }
+                ));
+            }
+        }
+        for c in &mut slots {
+            c.send(&Request::Drain);
+            c.flush();
+        }
+        let written = Instant::now();
+        for c in &mut slots {
+            c.recv_until_drained();
+        }
+        best = best.min(written.elapsed());
+        server_thread.join().expect("server thread").expect("run");
+        if best < BOUND {
+            break;
+        }
+    }
+    assert!(
+        best < BOUND,
+        "`drain` written → `Drained` read took {best:?} at best: a reply is being held for an ACK"
+    );
+}
+
+/// What the linger time-out is for: a client that reads its summary and
+/// then neither acks it with `bye` nor hangs up. `run()` must still
+/// return — after the idle budget (5 s), counted as a time-out rather
+/// than as an acked exit. Every other test here acks.
+#[test]
+fn a_withheld_bye_costs_the_linger_budget_and_no_more() {
+    let cfg = tiny();
+    let server = Server::bind(cfg.clone(), "127.0.0.1:0").expect("bind");
+    let addr = server.local_addr().to_string();
+    let server_thread = std::thread::spawn(move || server.run());
+    let plans = plans(&cfg, 1);
+
+    let mut client = RawClient::connect(&addr);
+    assert!(matches!(client.hello(&cfg, 0, 1), Reply::HelloOk { .. }));
+    client.submit_all_and_drain(&plans[0]);
+    let summary = loop {
+        match client.recv() {
+            Reply::Queued { .. } | Reply::Shed { .. } => {}
+            Reply::Drained(summary) => break summary,
+            other => panic!("unexpected reply: {other:?}"),
+        }
+    };
+    let drained = Instant::now();
+    let outcome = server_thread.join().expect("server thread").expect("run");
+    assert_eq!(outcome, ServeOutcome::Completed(summary));
+    assert!(
+        drained.elapsed() >= Duration::from_secs(4),
+        "the server must wait for the ack it was not given"
+    );
+    #[cfg(not(feature = "obs-off"))]
+    assert!(optum_obs::snapshot().counter("serve.linger_idle_exits") >= Some(1));
+    // Still open: the server, not the client, ended this.
+    drop(client);
+}
+
+/// A client that stops reading cannot hang the teardown. Slot 0 of a
+/// wide slot table asks for `stats` four thousand times — every answer
+/// carries the whole table, ≈17 MB in all, far beyond what the socket
+/// buffers hold — and never reads one, so the connection's writer is
+/// parked in `write` when the drain flag ends the session. `run()`
+/// gives writers a bounded time to flush, then shuts the socket under
+/// the stuck one.
+#[test]
+fn a_client_that_never_reads_cannot_hang_the_teardown() {
+    const SLOTS: usize = 128;
+    let mut cfg = tiny();
+    let flag = drain_flag();
+    cfg.drain_on = Some(flag);
+    let server = Server::bind(cfg.clone(), "127.0.0.1:0").expect("bind");
+    let addr = server.local_addr().to_string();
+    let server_thread = std::thread::spawn(move || server.run());
+
+    let mut deaf = RawClient::connect(&addr);
+    assert!(matches!(
+        deaf.hello(&cfg, 0, SLOTS as u64),
+        Reply::HelloOk { .. }
+    ));
+    for _ in 0..4_000 {
+        deaf.send(&Request::Stats);
+    }
+    // Two submits behind the flood: when a second connection sees slot
+    // 0's watermark move, the engine has answered every `stats` before
+    // it, and the writer is sitting on what the socket would not take.
+    let plan = &plans(&cfg, SLOTS)[0];
+    for &(tick, pod) in &plan[..2] {
+        deaf.send(&Request::Submit { tick, pod });
+    }
+    deaf.flush();
+    let tick = plan[1].0;
+    assert!(
+        tick > 0,
+        "a watermark the probe can tell from the initial 0"
+    );
+    let mut probe = RawClient::connect(&addr);
+    loop {
+        probe.send(&Request::Stats);
+        probe.flush();
+        match probe.recv() {
+            Reply::StatsOk { health, .. } if health[0].watermark == tick => break,
+            Reply::StatsOk { .. } => std::thread::yield_now(),
+            other => panic!("unexpected reply: {other:?}"),
+        }
+    }
+
+    flag.store(true, Ordering::SeqCst);
+    let flipped = Instant::now();
+    let outcome = server_thread.join().expect("server thread").expect("run");
+    assert!(matches!(outcome, ServeOutcome::Drained { .. }));
+    assert!(
+        flipped.elapsed() < Duration::from_secs(10),
+        "teardown took {:?}",
+        flipped.elapsed()
+    );
+    #[cfg(not(feature = "obs-off"))]
+    assert!(optum_obs::snapshot().counter("serve.teardown_stuck_writers") >= Some(1));
 }
