@@ -6,10 +6,9 @@
 //! physics) still reproduces the paper's shapes. The same claims are
 //! enforced as integration tests; this command exists for humans.
 
-use optum_core::OptumConfig;
 use optum_types::{Result, SloClass};
 
-use crate::endtoend::{run_roster, trained_optum};
+use crate::endtoend::run_roster;
 use crate::output::{Figure, Panel};
 use crate::runner::Runner;
 
@@ -119,7 +118,6 @@ pub fn check(runner: &mut Runner) -> Result<Figure> {
 
     // End-to-end claims.
     {
-        let _ = trained_optum(runner, OptumConfig::default())?;
         run_roster(runner)?;
         let active = optum_sim::SimResult::mean_active_cpu_util;
         let base = active(runner.reference_cached());

@@ -17,7 +17,7 @@
 //! Hosts are ranked by the alignment score between the request vector
 //! and the free vector under the applicable policy.
 
-use optum_sim::{ClusterView, Decision, DecisionBudget, NodeRuntime, Scheduler};
+use optum_sim::{ClusterView, Decision, DecisionBudget, NodeRuntime, Scheduler, Snap};
 use optum_trace::hash_noise;
 use optum_types::{PodSpec, Resources, SloClass};
 
@@ -197,21 +197,11 @@ impl Scheduler for AlibabaLike {
     // Policy constants are construction-time configuration; the only
     // mutable state is the BE admission gate and its trailing EMA.
     fn save_state(&self) -> Option<Vec<u8>> {
-        let mut w = optum_sim::SnapWriter::new();
-        w.put_bool(self.be_paused);
-        w.put_f64(self.usage_ema);
-        Some(w.into_bytes())
+        Some((self.be_paused, self.usage_ema).snap_bytes())
     }
 
     fn load_state(&mut self, state: &[u8]) -> optum_types::Result<()> {
-        let mut r = optum_sim::SnapReader::new(state);
-        self.be_paused = r.get_bool()?;
-        self.usage_ema = r.get_f64()?;
-        if r.remaining() != 0 {
-            return Err(optum_types::Error::InvalidData(
-                "AlibabaLike checkpoint state has trailing bytes".into(),
-            ));
-        }
+        (self.be_paused, self.usage_ema) = Snap::unsnap_exact(state)?;
         Ok(())
     }
 }

@@ -2,12 +2,14 @@
 //!
 //! A tiny length-prefixed binary protocol: every frame is a `u32`
 //! little-endian payload length followed by that many payload bytes.
-//! The payload is a `u64` tag followed by the message fields in
-//! [`SnapWriter`] encoding (the same fixed-width little-endian layout
-//! the checkpoint format uses, so both sides of the durability story
-//! share one codec).
+//! The payload is a `u64` tag followed by the message fields in the
+//! checkpoint codec's fixed-width little-endian layout, so both sides
+//! of the durability story share one codec. Each message's layout is
+//! stated once, as a tag table ([`optum_sim::snap_tagged!`]) over
+//! [`optum_sim::Snap`] fields; encoder and decoder both come from it.
 //!
-//! Robustness rules (pinned by `tests/proto_roundtrip.rs`):
+//! Robustness rules (pinned by `tests/proto_roundtrip.rs`, together with
+//! the FNV-1a of a corpus holding every message kind):
 //!
 //! * a frame longer than [`MAX_FRAME`] is **drained and rejected** —
 //!   the reader consumes exactly the advertised bytes in bounded
@@ -16,14 +18,17 @@
 //! * EOF on a length-prefix boundary is a clean close; EOF anywhere
 //!   else is [`FrameError::Truncated`];
 //! * undecodable payloads (unknown tag, short fields, trailing bytes,
-//!   bad UTF-8) are [`ErrCode::Malformed`] — an error *reply*, never
-//!   a panic and never a desync, because the frame boundary was already
-//!   consumed before decoding began.
+//!   bad UTF-8, a word out of range for its field, a sequence longer
+//!   than the bytes left) are [`ErrCode::Malformed`] — an error
+//!   *reply*, never a panic and never a desync, because the frame
+//!   boundary was already consumed before decoding began. Every
+//!   single-bit flip of every corpus message is tested to decode or
+//!   error.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
-use optum_sim::{SnapReader, SnapWriter};
+use optum_sim::Snap;
 use optum_types::Result;
 
 use crate::summary::SessionSummary;
@@ -43,26 +48,6 @@ pub const MAX_FRAME: usize = 1 << 20;
 /// Chunk size used to drain oversized frames without allocating them.
 const DRAIN_CHUNK: usize = 64 * 1024;
 
-const TAG_HELLO: u64 = 1;
-const TAG_SUBMIT: u64 = 2;
-const TAG_COMPLETE: u64 = 3;
-const TAG_STATS: u64 = 4;
-const TAG_CHECKPOINT: u64 = 5;
-const TAG_DRAIN: u64 = 6;
-const TAG_BYE: u64 = 7;
-
-const TAG_HELLO_OK: u64 = 64;
-const TAG_QUEUED: u64 = 65;
-const TAG_SHED: u64 = 66;
-const TAG_DUP: u64 = 67;
-const TAG_POD_STATUS: u64 = 68;
-const TAG_STATS_OK: u64 = 69;
-const TAG_CHECKPOINT_OK: u64 = 70;
-const TAG_DRAINED: u64 = 71;
-const TAG_ERROR: u64 = 72;
-const TAG_EVICTED: u64 = 73;
-const TAG_DRAINING: u64 = 74;
-
 /// Machine-readable error codes carried by [`Reply::Error`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrCode {
@@ -81,30 +66,14 @@ pub enum ErrCode {
     Internal,
 }
 
-impl ErrCode {
-    fn to_u64(self) -> u64 {
-        match self {
-            ErrCode::Malformed => 1,
-            ErrCode::Oversized => 2,
-            ErrCode::BadHandshake => 3,
-            ErrCode::OutOfOrder => 4,
-            ErrCode::Unsupported => 5,
-            ErrCode::Internal => 6,
-        }
-    }
-
-    fn from_u64(x: u64) -> Option<ErrCode> {
-        Some(match x {
-            1 => ErrCode::Malformed,
-            2 => ErrCode::Oversized,
-            3 => ErrCode::BadHandshake,
-            4 => ErrCode::OutOfOrder,
-            5 => ErrCode::Unsupported,
-            6 => ErrCode::Internal,
-            _ => return None,
-        })
-    }
-}
+optum_sim::snap_tagged!(ErrCode {
+    1 => Malformed,
+    2 => Oversized,
+    3 => BadHandshake,
+    4 => OutOfOrder,
+    5 => Unsupported,
+    6 => Internal,
+});
 
 /// Client → server messages.
 #[derive(Debug, Clone, PartialEq)]
@@ -250,312 +219,64 @@ pub struct SlotHealth {
     pub state: u64,
 }
 
-impl SlotHealth {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u64(self.slot);
-        w.put_u64(self.watermark);
-        w.put_opt_u64(self.lease_remaining);
-        w.put_u64(self.state);
-    }
+optum_sim::snap_fields!(SlotHealth {
+    slot,
+    watermark,
+    lease_remaining,
+    state
+});
 
-    fn decode(r: &mut SnapReader<'_>) -> Result<SlotHealth> {
-        Ok(SlotHealth {
-            slot: r.get_u64()?,
-            watermark: r.get_u64()?,
-            lease_remaining: r.get_opt_u64()?,
-            state: r.get_u64()?,
-        })
-    }
-}
+// The tag tables: a message is its tag word, then its fields in the
+// order listed (`pod` ids are `u32` widened to a word).
+optum_sim::snap_tagged!(Request {
+    1 => Hello { client, seed, hosts, days, rate_bits, queue_cap, slot, slots, lease },
+    2 => Submit { tick, pod },
+    3 => Complete { pod },
+    4 => Stats,
+    5 => Checkpoint,
+    6 => Drain,
+    7 => Bye,
+});
+
+optum_sim::snap_tagged!(Reply {
+    64 => HelloOk { proto, resume_tick, next_pod, end_tick, cursor },
+    65 => Queued { pod, tick },
+    66 => Shed { pod, tick },
+    67 => Dup { pod },
+    68 => PodStatus { pod, placed_at, node, completed_at, shed_at, evictions },
+    69 => StatsOk { tick, pending, running, arrivals, admitted, shed, evicted, denied, health },
+    70 => CheckpointOk { tick },
+    71 => Drained(summary),
+    72 => Error { code, message },
+    73 => Evicted { slot, tick, denied },
+    74 => Draining { tick },
+});
 
 impl Request {
     /// Encodes the request payload (tag + fields, no length prefix).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        match self {
-            Request::Hello {
-                client,
-                seed,
-                hosts,
-                days,
-                rate_bits,
-                queue_cap,
-                slot,
-                slots,
-                lease,
-            } => {
-                w.put_u64(TAG_HELLO);
-                w.put_str(client);
-                w.put_u64(*seed);
-                w.put_u64(*hosts);
-                w.put_u64(*days);
-                w.put_u64(*rate_bits);
-                w.put_opt_u64(*queue_cap);
-                w.put_u64(*slot);
-                w.put_u64(*slots);
-                w.put_opt_u64(*lease);
-            }
-            Request::Submit { tick, pod } => {
-                w.put_u64(TAG_SUBMIT);
-                w.put_u64(*tick);
-                w.put_u64(*pod as u64);
-            }
-            Request::Complete { pod } => {
-                w.put_u64(TAG_COMPLETE);
-                w.put_u64(*pod as u64);
-            }
-            Request::Stats => w.put_u64(TAG_STATS),
-            Request::Checkpoint => w.put_u64(TAG_CHECKPOINT),
-            Request::Drain => w.put_u64(TAG_DRAIN),
-            Request::Bye => w.put_u64(TAG_BYE),
-        }
-        w.into_bytes()
+        self.snap_bytes()
     }
 
-    /// Decodes a request payload. Rejects unknown tags and trailing
-    /// bytes so a corrupted frame cannot be half-understood.
+    /// Decodes a request payload. Rejects unknown tags, out-of-range
+    /// words and trailing bytes so a corrupted frame cannot be
+    /// half-understood.
     pub fn decode(payload: &[u8]) -> Result<Request> {
-        let mut r = SnapReader::new(payload);
-        let req = match r.get_u64()? {
-            TAG_HELLO => Request::Hello {
-                client: r.get_str()?,
-                seed: r.get_u64()?,
-                hosts: r.get_u64()?,
-                days: r.get_u64()?,
-                rate_bits: r.get_u64()?,
-                queue_cap: r.get_opt_u64()?,
-                slot: r.get_u64()?,
-                slots: r.get_u64()?,
-                lease: r.get_opt_u64()?,
-            },
-            TAG_SUBMIT => Request::Submit {
-                tick: r.get_u64()?,
-                pod: pod_id(&mut r)?,
-            },
-            TAG_COMPLETE => Request::Complete {
-                pod: pod_id(&mut r)?,
-            },
-            TAG_STATS => Request::Stats,
-            TAG_CHECKPOINT => Request::Checkpoint,
-            TAG_DRAIN => Request::Drain,
-            TAG_BYE => Request::Bye,
-            tag => {
-                return Err(optum_types::Error::InvalidData(format!(
-                    "unknown request tag {tag}"
-                )))
-            }
-        };
-        finish_decode(&r)?;
-        Ok(req)
+        Request::unsnap_exact(payload)
     }
 }
 
 impl Reply {
     /// Encodes the reply payload (tag + fields, no length prefix).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        match self {
-            Reply::HelloOk {
-                proto,
-                resume_tick,
-                next_pod,
-                end_tick,
-                cursor,
-            } => {
-                w.put_u64(TAG_HELLO_OK);
-                w.put_u64(*proto);
-                w.put_u64(*resume_tick);
-                w.put_u64(*next_pod);
-                w.put_u64(*end_tick);
-                w.put_u64(*cursor);
-            }
-            Reply::Queued { pod, tick } => {
-                w.put_u64(TAG_QUEUED);
-                w.put_u64(*pod as u64);
-                w.put_u64(*tick);
-            }
-            Reply::Shed { pod, tick } => {
-                w.put_u64(TAG_SHED);
-                w.put_u64(*pod as u64);
-                w.put_u64(*tick);
-            }
-            Reply::Dup { pod } => {
-                w.put_u64(TAG_DUP);
-                w.put_u64(*pod as u64);
-            }
-            Reply::PodStatus {
-                pod,
-                placed_at,
-                node,
-                completed_at,
-                shed_at,
-                evictions,
-            } => {
-                w.put_u64(TAG_POD_STATUS);
-                w.put_u64(*pod as u64);
-                w.put_opt_u64(*placed_at);
-                w.put_opt_u64(*node);
-                w.put_opt_u64(*completed_at);
-                w.put_opt_u64(*shed_at);
-                w.put_u64(*evictions);
-            }
-            Reply::StatsOk {
-                tick,
-                pending,
-                running,
-                arrivals,
-                admitted,
-                shed,
-                evicted,
-                denied,
-                health,
-            } => {
-                w.put_u64(TAG_STATS_OK);
-                w.put_u64(*tick);
-                w.put_u64(*pending);
-                w.put_u64(*running);
-                w.put_u64(*arrivals);
-                w.put_u64(*admitted);
-                w.put_u64(*shed);
-                w.put_u64(*evicted);
-                w.put_u64(*denied);
-                w.put_u64(health.len() as u64);
-                for h in health {
-                    h.encode(&mut w);
-                }
-            }
-            Reply::CheckpointOk { tick } => {
-                w.put_u64(TAG_CHECKPOINT_OK);
-                w.put_u64(*tick);
-            }
-            Reply::Drained(summary) => {
-                w.put_u64(TAG_DRAINED);
-                summary.encode(&mut w);
-            }
-            Reply::Evicted { slot, tick, denied } => {
-                w.put_u64(TAG_EVICTED);
-                w.put_u64(*slot);
-                w.put_u64(*tick);
-                w.put_u64(*denied);
-            }
-            Reply::Draining { tick } => {
-                w.put_u64(TAG_DRAINING);
-                w.put_u64(*tick);
-            }
-            Reply::Error { code, message } => {
-                w.put_u64(TAG_ERROR);
-                w.put_u64(code.to_u64());
-                w.put_str(message);
-            }
-        }
-        w.into_bytes()
+        self.snap_bytes()
     }
 
     /// Decodes a reply payload with the same strictness as
     /// [`Request::decode`].
     pub fn decode(payload: &[u8]) -> Result<Reply> {
-        let mut r = SnapReader::new(payload);
-        let reply = match r.get_u64()? {
-            TAG_HELLO_OK => Reply::HelloOk {
-                proto: r.get_u64()?,
-                resume_tick: r.get_u64()?,
-                next_pod: r.get_u64()?,
-                end_tick: r.get_u64()?,
-                cursor: r.get_u64()?,
-            },
-            TAG_QUEUED => Reply::Queued {
-                pod: pod_id(&mut r)?,
-                tick: r.get_u64()?,
-            },
-            TAG_SHED => Reply::Shed {
-                pod: pod_id(&mut r)?,
-                tick: r.get_u64()?,
-            },
-            TAG_DUP => Reply::Dup {
-                pod: pod_id(&mut r)?,
-            },
-            TAG_POD_STATUS => Reply::PodStatus {
-                pod: pod_id(&mut r)?,
-                placed_at: r.get_opt_u64()?,
-                node: r.get_opt_u64()?,
-                completed_at: r.get_opt_u64()?,
-                shed_at: r.get_opt_u64()?,
-                evictions: r.get_u64()?,
-            },
-            TAG_STATS_OK => {
-                let tick = r.get_u64()?;
-                let pending = r.get_u64()?;
-                let running = r.get_u64()?;
-                let arrivals = r.get_u64()?;
-                let admitted = r.get_u64()?;
-                let shed = r.get_u64()?;
-                let evicted = r.get_u64()?;
-                let denied = r.get_u64()?;
-                let n = r.get_len()?;
-                if n > MAX_FRAME / 8 {
-                    return Err(optum_types::Error::InvalidData(format!(
-                        "stats health list of {n} slots exceeds any valid frame"
-                    )));
-                }
-                let mut health = Vec::with_capacity(n);
-                for _ in 0..n {
-                    health.push(SlotHealth::decode(&mut r)?);
-                }
-                Reply::StatsOk {
-                    tick,
-                    pending,
-                    running,
-                    arrivals,
-                    admitted,
-                    shed,
-                    evicted,
-                    denied,
-                    health,
-                }
-            }
-            TAG_CHECKPOINT_OK => Reply::CheckpointOk { tick: r.get_u64()? },
-            TAG_DRAINED => Reply::Drained(SessionSummary::decode(&mut r)?),
-            TAG_EVICTED => Reply::Evicted {
-                slot: r.get_u64()?,
-                tick: r.get_u64()?,
-                denied: r.get_u64()?,
-            },
-            TAG_DRAINING => Reply::Draining { tick: r.get_u64()? },
-            TAG_ERROR => {
-                let code = r.get_u64()?;
-                let code = ErrCode::from_u64(code).ok_or_else(|| {
-                    optum_types::Error::InvalidData(format!("unknown error code {code}"))
-                })?;
-                Reply::Error {
-                    code,
-                    message: r.get_str()?,
-                }
-            }
-            tag => {
-                return Err(optum_types::Error::InvalidData(format!(
-                    "unknown reply tag {tag}"
-                )))
-            }
-        };
-        finish_decode(&r)?;
-        Ok(reply)
+        Reply::unsnap_exact(payload)
     }
-}
-
-fn pod_id(r: &mut SnapReader<'_>) -> Result<u32> {
-    let x = r.get_u64()?;
-    u32::try_from(x)
-        .map_err(|_| optum_types::Error::InvalidData(format!("pod id {x} exceeds u32 range")))
-}
-
-fn finish_decode(r: &SnapReader<'_>) -> Result<()> {
-    if r.remaining() != 0 {
-        return Err(optum_types::Error::InvalidData(format!(
-            "{} trailing bytes after message",
-            r.remaining()
-        )));
-    }
-    Ok(())
 }
 
 /// How reading one frame from a peer went wrong.

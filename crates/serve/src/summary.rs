@@ -8,8 +8,8 @@
 //! virtual ticks; wall-clock never enters the summary, which is what
 //! makes it replay-deterministic.
 
-use optum_sim::{SimResult, SnapReader, SnapWriter};
-use optum_types::{Result, SloClass};
+use optum_sim::SimResult;
+use optum_types::SloClass;
 
 /// Per-SLO-class slice of the session summary.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,37 +44,21 @@ impl ClassSummary {
     pub fn slo(&self) -> SloClass {
         SloClass::ALL[self.class as usize % SloClass::ALL.len()]
     }
-
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u64(self.class as u64);
-        w.put_u64(self.arrivals);
-        w.put_u64(self.admitted);
-        w.put_u64(self.shed);
-        w.put_u64(self.throttled_end);
-        w.put_u64(self.disconnected);
-        w.put_u64(self.placed);
-        w.put_u64(self.completed);
-        w.put_u64(self.p50_wait);
-        w.put_u64(self.p99_wait);
-        w.put_u64(self.p999_wait);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Result<ClassSummary> {
-        Ok(ClassSummary {
-            class: r.get_u64()? as u8,
-            arrivals: r.get_u64()?,
-            admitted: r.get_u64()?,
-            shed: r.get_u64()?,
-            throttled_end: r.get_u64()?,
-            disconnected: r.get_u64()?,
-            placed: r.get_u64()?,
-            completed: r.get_u64()?,
-            p50_wait: r.get_u64()?,
-            p99_wait: r.get_u64()?,
-            p999_wait: r.get_u64()?,
-        })
-    }
 }
+
+optum_sim::snap_fields!(ClassSummary {
+    class,
+    arrivals,
+    admitted,
+    shed,
+    throttled_end,
+    disconnected,
+    placed,
+    completed,
+    p50_wait,
+    p99_wait,
+    p999_wait
+});
 
 /// The deterministic outcome of one complete serve session.
 #[derive(Debug, Clone, PartialEq)]
@@ -165,52 +149,20 @@ impl SessionSummary {
             .iter()
             .all(|c| c.admitted + c.shed + c.throttled_end + c.disconnected == c.arrivals)
     }
-
-    pub(crate) fn encode(&self, w: &mut SnapWriter) {
-        w.put_u64(self.digest);
-        w.put_u64(self.end_tick);
-        w.put_u64(self.pods);
-        w.put_u64(self.placed);
-        w.put_u64(self.completed);
-        w.put_u64(self.shed);
-        w.put_u64(self.throttled_end);
-        w.put_u64(self.disconnected);
-        w.put_f64(self.denied_rate);
-        w.put_u64(self.per_class.len() as u64);
-        for c in &self.per_class {
-            c.encode(w);
-        }
-    }
-
-    pub(crate) fn decode(r: &mut SnapReader<'_>) -> Result<SessionSummary> {
-        let digest = r.get_u64()?;
-        let end_tick = r.get_u64()?;
-        let pods = r.get_u64()?;
-        let placed = r.get_u64()?;
-        let completed = r.get_u64()?;
-        let shed = r.get_u64()?;
-        let throttled_end = r.get_u64()?;
-        let disconnected = r.get_u64()?;
-        let denied_rate = r.get_f64()?;
-        let n = r.get_len()?;
-        let mut per_class = Vec::with_capacity(n.min(64));
-        for _ in 0..n {
-            per_class.push(ClassSummary::decode(r)?);
-        }
-        Ok(SessionSummary {
-            digest,
-            end_tick,
-            pods,
-            placed,
-            completed,
-            shed,
-            throttled_end,
-            disconnected,
-            denied_rate,
-            per_class,
-        })
-    }
 }
+
+optum_sim::snap_fields!(SessionSummary {
+    digest,
+    end_tick,
+    pods,
+    placed,
+    completed,
+    shed,
+    throttled_end,
+    disconnected,
+    denied_rate,
+    per_class
+});
 
 /// Nearest-rank quantile over sorted latencies (empty → 0).
 fn quantile(sorted: &[u64], q: f64) -> u64 {

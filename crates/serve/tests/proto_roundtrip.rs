@@ -248,7 +248,7 @@ fn bad_utf8_in_hello_is_rejected() {
     w.put_u64(60);
     w.put_u64(2);
     w.put_u64(1.0f64.to_bits());
-    w.put_opt_u64(None);
+    w.put_u64(0); // no queue cap
     let err = Request::decode(&w.into_bytes());
     assert!(err.is_err(), "invalid UTF-8 must not decode: {err:?}");
 }
@@ -278,4 +278,198 @@ fn oversized_frame_does_not_desync() {
     ));
     let next = read_frame(&mut cursor).expect("stream still framed after drain");
     assert_eq!(Request::decode(&next).unwrap(), Request::Drain);
+}
+
+/// One of every request and reply variant, optional fields both
+/// present and absent: what the wire pin hashes and the bit-flip sweep
+/// mutates.
+fn corpus() -> (Vec<Request>, Vec<Reply>) {
+    let class = |class: u8, n: u64| ClassSummary {
+        class,
+        arrivals: 10 * n,
+        admitted: 9 * n,
+        shed: n,
+        throttled_end: 0,
+        disconnected: 0,
+        placed: 9 * n,
+        completed: 8 * n,
+        p50_wait: n,
+        p99_wait: 3 * n,
+        p999_wait: 7 * n,
+    };
+    let requests = vec![
+        Request::Hello {
+            client: "optumload".into(),
+            seed: 42,
+            hosts: 60,
+            days: 2,
+            rate_bits: 1.0f64.to_bits(),
+            queue_cap: Some(512),
+            slot: 1,
+            slots: 4,
+            lease: Some(600),
+        },
+        Request::Hello {
+            client: String::new(),
+            seed: 7,
+            hosts: 200,
+            days: 8,
+            rate_bits: 3.0f64.to_bits(),
+            queue_cap: None,
+            slot: 0,
+            slots: 1,
+            lease: None,
+        },
+        Request::Submit {
+            tick: 1234,
+            pod: 98_765,
+        },
+        Request::Complete { pod: u32::MAX },
+        Request::Stats,
+        Request::Checkpoint,
+        Request::Drain,
+        Request::Bye,
+    ];
+    let replies = vec![
+        Reply::HelloOk {
+            proto: 2,
+            resume_tick: 2000,
+            next_pod: 4321,
+            end_tick: 5760,
+            cursor: 17,
+        },
+        Reply::Queued { pod: 5, tick: 6 },
+        Reply::Shed { pod: 7, tick: 8 },
+        Reply::Dup { pod: 9 },
+        Reply::PodStatus {
+            pod: 11,
+            placed_at: Some(12),
+            node: Some(3),
+            completed_at: Some(40),
+            shed_at: None,
+            evictions: 2,
+        },
+        Reply::PodStatus {
+            pod: 13,
+            placed_at: None,
+            node: None,
+            completed_at: None,
+            shed_at: Some(14),
+            evictions: 0,
+        },
+        Reply::StatsOk {
+            tick: 100,
+            pending: 3,
+            running: 50,
+            arrivals: 60,
+            admitted: 55,
+            shed: 5,
+            evicted: 1,
+            denied: 10,
+            health: vec![
+                SlotHealth {
+                    slot: 0,
+                    watermark: 99,
+                    lease_remaining: Some(500),
+                    state: 0,
+                },
+                SlotHealth {
+                    slot: 1,
+                    watermark: 42,
+                    lease_remaining: None,
+                    state: 3,
+                },
+            ],
+        },
+        Reply::CheckpointOk { tick: 2000 },
+        Reply::Drained(SessionSummary {
+            digest: 0x3681_e16c_df3c_8ecd,
+            end_tick: 5760,
+            pods: 300,
+            placed: 270,
+            completed: 240,
+            shed: 30,
+            throttled_end: 0,
+            disconnected: 0,
+            denied_rate: 0.1,
+            per_class: vec![class(3, 1), class(4, 2), class(5, 7)],
+        }),
+        Reply::Evicted {
+            slot: 2,
+            tick: 700,
+            denied: 1107,
+        },
+        Reply::Draining { tick: 1500 },
+        Reply::Error {
+            code: ErrCode::Malformed,
+            message: "unknown request tag 999".into(),
+        },
+        Reply::Error {
+            code: ErrCode::Internal,
+            message: "checkpoint: disk full".into(),
+        },
+    ];
+    (requests, replies)
+}
+
+/// FNV-1a of the framed corpus, recorded before the codec was
+/// re-expressed as one `Snap` declaration per message: the wire bytes
+/// are the protocol, not a property of how the codec is written.
+const PINNED_WIRE_FNV: u64 = 0x1778_7fa7_c8c6_4ca4;
+
+#[test]
+fn corpus_wire_bytes_are_pinned() {
+    let (requests, replies) = corpus();
+    let mut wire = Vec::new();
+    for req in &requests {
+        write_frame(&mut wire, &req.encode()).unwrap();
+    }
+    for reply in &replies {
+        write_frame(&mut wire, &reply.encode()).unwrap();
+    }
+    let hash = optum_sim::checkpoint::fnv1a(&wire);
+    assert_eq!(
+        (requests.len() + replies.len(), wire.len(), hash),
+        (21, 1257, PINNED_WIRE_FNV),
+        "wire bytes changed: {hash:#018x} over {} B",
+        wire.len()
+    );
+}
+
+/// Every single-bit flip of every corpus message decodes or errors,
+/// under either decoder, and never panics.
+#[test]
+fn every_bit_flip_of_the_corpus_decodes_or_errors() {
+    let (requests, replies) = corpus();
+    let payloads = requests
+        .iter()
+        .map(Request::encode)
+        .chain(replies.iter().map(Reply::encode));
+    for payload in payloads {
+        for bit in 0..payload.len() * 8 {
+            let mut bytes = payload.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            let _ = Request::decode(&bytes);
+            let _ = Reply::decode(&bytes);
+        }
+    }
+}
+
+/// Narrow fields are range-checked, not truncated: a summary row whose
+/// class word is 259 is refused rather than read as class 3.
+#[test]
+fn out_of_range_class_word_is_rejected() {
+    let (_, replies) = corpus();
+    let drained = replies
+        .iter()
+        .find(|r| matches!(r, Reply::Drained(_)))
+        .unwrap();
+    let mut bytes = drained.encode();
+    // Tag, eight counters, the denied rate and the row count precede
+    // the first row's class word.
+    let at = 8 * 11;
+    assert_eq!(bytes[at..at + 8], 3u64.to_le_bytes());
+    assert!(Reply::decode(&bytes).is_ok());
+    bytes[at..at + 8].copy_from_slice(&(256u64 + 3).to_le_bytes());
+    assert!(Reply::decode(&bytes).is_err());
 }

@@ -152,17 +152,8 @@ impl<P: Copy + Ord> Admission<P> {
                 self.shed.push_back(id);
             }
         }
-        // A pod parked in the throttle buffer (BE is the only class it
-        // ever holds) counts as it will in `throttled_end` if it is
-        // still there at the close.
         debug_assert!(
-            SloClass::ALL.iter().all(|&class| {
-                let mut c = self.stats.per_class[class.index()];
-                if class == SloClass::Be {
-                    c.throttled_end = self.throttled.len() as u64;
-                }
-                c.conserved()
-            }),
+            self.ledger_holds(),
             "admission ledger not conserved: {:?} with {} throttled",
             self.stats.per_class,
             self.throttled.len()
@@ -275,8 +266,23 @@ impl<P: Copy + Ord> Admission<P> {
         &mut self.stats
     }
 
+    /// The conservation law, with the pods parked in the throttle
+    /// buffer (BE is the only class it ever holds) counted as they will
+    /// be in `throttled_end` if they are still there at the close; and
+    /// no class has more pods queued than admitted.
+    pub fn ledger_holds(&self) -> bool {
+        SloClass::ALL.iter().all(|&class| {
+            let mut c = self.stats.per_class[class.index()];
+            if class == SloClass::Be {
+                c.throttled_end = self.throttled.len() as u64;
+            }
+            c.conserved() && self.class_depth[class.index()] <= c.admitted
+        })
+    }
+
     /// Replaces the queues with checkpointed ones. Class depths are
-    /// derived state, rebuilt from the restored queue.
+    /// derived state, rebuilt from the restored queue; a sorted flag
+    /// the queue contradicts is dropped (the next round sorts).
     pub fn restore_queues(
         &mut self,
         pending: Vec<P>,
@@ -288,8 +294,8 @@ impl<P: Copy + Ord> Admission<P> {
         for &id in &pending {
             self.class_depth[meta(id).0.index()] += 1;
         }
+        self.sorted = sorted && pending.is_sorted_by_key(|&id| queue_key(id, meta(id)));
         self.pending = pending;
-        self.sorted = sorted;
         self.throttled = throttled;
     }
 }

@@ -8,8 +8,9 @@
 
 use optum_predictors::ProfileSource;
 use optum_stats::RollingWindow;
-use optum_types::{AppId, Resources};
+use optum_types::{AppId, Resources, Result};
 
+use crate::checkpoint::{Snap, SnapReader, SnapWriter};
 use crate::training::EroTable;
 
 /// Running statistics for one application.
@@ -95,61 +96,41 @@ impl AppStats {
     pub fn p99(&self) -> Option<Resources> {
         self.cached_p99
     }
+}
 
-    /// Serializes the statistics for a checkpoint.
-    pub(crate) fn snap_save(&self, w: &mut crate::checkpoint::SnapWriter) {
-        let cpu = self.cpu_window.as_slice();
-        w.put_u64(cpu.len() as u64);
-        for x in cpu {
-            w.put_f64(x);
-        }
-        let mem = self.mem_window.as_slice();
-        w.put_u64(mem.len() as u64);
-        for x in mem {
-            w.put_f64(x);
-        }
-        w.put_u64(self.mem_util_count);
-        w.put_f64(self.mem_util_mean);
-        w.put_f64(self.mem_util_m2);
-        w.put_f64(self.max_cpu_util);
-        w.put_f64(self.max_mem_util);
-        w.put_f64(self.max_qps_norm);
-        match self.cached_p99 {
-            Some(p) => {
-                w.put_u64(1);
-                w.put_f64(p.cpu);
-                w.put_f64(p.mem);
-            }
-            None => w.put_u64(0),
-        }
-        w.put_u64(self.samples);
+/// Hand-written because restore replays the saved samples into fresh
+/// windows (they hold at most their capacity, so replaying in order
+/// reproduces the deque exactly).
+impl Snap for AppStats {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.cpu_window.as_slice().snap(w);
+        self.mem_window.as_slice().snap(w);
+        self.mem_util_count.snap(w);
+        self.mem_util_mean.snap(w);
+        self.mem_util_m2.snap(w);
+        self.max_cpu_util.snap(w);
+        self.max_mem_util.snap(w);
+        self.max_qps_norm.snap(w);
+        self.cached_p99.snap(w);
+        self.samples.snap(w);
     }
 
-    /// Restores statistics from a checkpoint section.
-    pub(crate) fn snap_load(
-        r: &mut crate::checkpoint::SnapReader<'_>,
-    ) -> optum_types::Result<AppStats> {
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<AppStats> {
         let mut s = AppStats::default();
-        // Windows hold at most their capacity, so replaying the saved
-        // samples in order reproduces the deque exactly.
-        for _ in 0..r.get_len()? {
-            s.cpu_window.push(r.get_f64()?);
+        for x in Vec::unsnap(r)? {
+            s.cpu_window.push(x);
         }
-        for _ in 0..r.get_len()? {
-            s.mem_window.push(r.get_f64()?);
+        for x in Vec::unsnap(r)? {
+            s.mem_window.push(x);
         }
-        s.mem_util_count = r.get_u64()?;
-        s.mem_util_mean = r.get_f64()?;
-        s.mem_util_m2 = r.get_f64()?;
-        s.max_cpu_util = r.get_f64()?;
-        s.max_mem_util = r.get_f64()?;
-        s.max_qps_norm = r.get_f64()?;
-        s.cached_p99 = if r.get_u64()? != 0 {
-            Some(Resources::new(r.get_f64()?, r.get_f64()?))
-        } else {
-            None
-        };
-        s.samples = r.get_u64()?;
+        s.mem_util_count = Snap::unsnap(r)?;
+        s.mem_util_mean = Snap::unsnap(r)?;
+        s.mem_util_m2 = Snap::unsnap(r)?;
+        s.max_cpu_util = Snap::unsnap(r)?;
+        s.max_mem_util = Snap::unsnap(r)?;
+        s.max_qps_norm = Snap::unsnap(r)?;
+        s.cached_p99 = Snap::unsnap(r)?;
+        s.samples = Snap::unsnap(r)?;
         Ok(s)
     }
 }
@@ -208,36 +189,9 @@ impl AppStatsStore {
     pub fn ero_table(&self) -> &EroTable {
         &self.ero
     }
-
-    /// Serializes the store for a checkpoint.
-    pub(crate) fn snap_save(&self, w: &mut crate::checkpoint::SnapWriter) {
-        w.put_u64(self.stats.len() as u64);
-        for s in &self.stats {
-            s.snap_save(w);
-        }
-        self.ero.snap_save(w);
-    }
-
-    /// Restores a store from a checkpoint section; the app count must
-    /// match the workload the simulator was rebuilt over.
-    pub(crate) fn snap_load(
-        n_apps: usize,
-        r: &mut crate::checkpoint::SnapReader<'_>,
-    ) -> optum_types::Result<AppStatsStore> {
-        let n = r.get_len()?;
-        if n != n_apps {
-            return Err(optum_types::Error::InvalidData(format!(
-                "snapshot covers {n} applications but the workload has {n_apps}"
-            )));
-        }
-        let mut stats = Vec::with_capacity(n);
-        for _ in 0..n {
-            stats.push(AppStats::snap_load(r)?);
-        }
-        let ero = EroTable::snap_load(r)?;
-        Ok(AppStatsStore { stats, ero })
-    }
 }
+
+crate::snap_fields!(AppStatsStore { stats, ero });
 
 impl ProfileSource for AppStatsStore {
     fn p99_usage(&self, app: AppId) -> Option<Resources> {

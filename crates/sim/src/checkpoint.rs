@@ -1,4 +1,5 @@
-//! Crash-consistent engine snapshots.
+//! Crash-consistent engine snapshots, and the byte codec they share
+//! with the optumd wire protocol.
 //!
 //! A checkpoint is a versioned, dependency-free binary image of the
 //! simulator's entire mutable state at the top of a tick: node
@@ -13,16 +14,36 @@
 //! The format is deliberately hand-rolled (no serde): every scalar is
 //! a little-endian `u64` (floats via [`f64::to_bits`], so NaN payloads
 //! — the ERO table's "unobserved" marker — round-trip exactly), every
-//! sequence is length-prefixed, and the file carries a magic/version
-//! header, configuration and workload fingerprints, and a trailing
-//! FNV-1a checksum. A truncated, corrupted or mismatched snapshot
-//! fails with a descriptive [`Error::InvalidData`], never a panic.
-//! Files are written to a temporary sibling and atomically renamed, so
-//! a crash mid-write leaves the previous snapshot intact.
+//! sequence is length-prefixed, and the file carries an 8-byte magic, a
+//! `u64` version word, configuration and workload fingerprints, and a
+//! trailing FNV-1a checksum. Files are written to a temporary sibling
+//! and atomically renamed, so a crash mid-write leaves the previous
+//! snapshot intact.
+//!
+//! **One statement per layout.** A type's bytes are its [`Snap`] impl,
+//! written once: [`snap_fields!`](crate::snap_fields) lists a struct's fields in layout
+//! order (its `in` form restores a listed subset into a value whose
+//! other fields the owner rebuilt, through [`SnapPart`]), and
+//! [`snap_tagged!`](crate::snap_tagged) gives an enum its tag table. Both halves of the
+//! codec come from that one list, so writer and reader cannot drift.
+//! Only readers that do more than read fields are written by hand, each
+//! saying why (`NodeRuntime`, `AppStats`, `EroTable`, `TripleEroTable`
+//! and the engine's header and per-pod slots).
+//!
+//! **Hostile bytes.** Every read is bounds-checked; narrow integers,
+//! option and boolean words, enum codes and fixed-size arrays are
+//! range-checked; a sequence length the remaining bytes cannot hold is
+//! refused before anything is allocated. A truncated, corrupted or
+//! mismatched snapshot fails with a descriptive [`Error::InvalidData`],
+//! never a panic — `tests/checkpoint_bitflip.rs` flips single bits of a
+//! resealed snapshot and steps whatever restore accepts.
 
 use std::path::Path;
 
-use optum_types::{DelayCause, Error, NodeLifecycle, PsiWindow, Result, SloClass};
+use optum_types::{
+    AppId, DelayCause, NodeId, NodeLifecycle, PodId, PsiWindow, Resources, SloClass, Tick,
+};
+pub use optum_types::{Error, Result};
 
 /// Leading magic bytes of every snapshot file.
 pub const SNAP_MAGIC: [u8; 8] = *b"OPTSNP\x00\x01";
@@ -114,18 +135,15 @@ impl SnapWriter {
     }
 
     /// Writes one little-endian `u64`.
+    #[inline]
     pub fn put_u64(&mut self, x: u64) {
         self.buf.extend_from_slice(&x.to_le_bytes());
     }
 
     /// Writes a float as its exact bit pattern.
+    #[inline]
     pub fn put_f64(&mut self, x: f64) {
         self.put_u64(x.to_bits());
-    }
-
-    /// Writes a boolean as 0/1.
-    pub fn put_bool(&mut self, b: bool) {
-        self.put_u64(b as u64);
     }
 
     /// Writes a length-prefixed byte string.
@@ -139,43 +157,12 @@ impl SnapWriter {
         self.put_bytes(s.as_bytes());
     }
 
-    /// Writes an optional `u64` as a presence tag plus value.
-    pub fn put_opt_u64(&mut self, x: Option<u64>) {
-        match x {
-            Some(v) => {
-                self.put_u64(1);
-                self.put_u64(v);
-            }
-            None => self.put_u64(0),
+    /// Writes a length-prefixed sequence (the layout of `Vec<T>`).
+    pub fn put_seq<'a, T: Snap + 'a>(&mut self, items: impl ExactSizeIterator<Item = &'a T>) {
+        self.put_u64(items.len() as u64);
+        for x in items {
+            x.snap(self);
         }
-    }
-
-    /// Writes an optional float.
-    pub fn put_opt_f64(&mut self, x: Option<f64>) {
-        match x {
-            Some(v) => {
-                self.put_u64(1);
-                self.put_f64(v);
-            }
-            None => self.put_u64(0),
-        }
-    }
-
-    /// Writes a PSI window (three smoothed averages).
-    pub fn put_psi(&mut self, p: &PsiWindow) {
-        self.put_f64(p.avg10);
-        self.put_f64(p.avg60);
-        self.put_f64(p.avg300);
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing was written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Appends the FNV-1a checksum of everything written so far, then
@@ -202,6 +189,7 @@ pub struct SnapReader<'a> {
 
 impl<'a> SnapReader<'a> {
     /// Starts reading at the front of `buf`.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> SnapReader<'a> {
         SnapReader { buf, pos: 0 }
     }
@@ -214,8 +202,18 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Bytes left to read.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// Ends a read that must consume the whole buffer.
+    #[inline]
+    pub fn finish(self) -> Result<()> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(corrupt(format!("{n} unread trailing bytes"))),
+        }
     }
 
     /// Verifies the file magic.
@@ -228,6 +226,7 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Reads one little-endian `u64`.
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64> {
         if self.remaining() < 8 {
             return Err(self.truncated("u64"));
@@ -239,37 +238,19 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Reads a float from its exact bit pattern.
+    #[inline]
     pub fn get_f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
-    /// Reads a boolean (anything non-zero is true).
-    pub fn get_bool(&mut self) -> Result<bool> {
-        Ok(self.get_u64()? != 0)
-    }
-
-    /// Reads a sequence length, rejecting values that cannot possibly
-    /// fit in the remaining bytes (corruption guard: a garbage length
-    /// must not drive a huge allocation).
-    pub fn get_len(&mut self) -> Result<usize> {
-        let n = self.get_u64()? as usize;
-        if n > self.remaining() {
-            return Err(Error::InvalidData(format!(
-                "snapshot corrupt: sequence length {n} exceeds remaining {} bytes",
-                self.remaining()
-            )));
-        }
-        Ok(n)
-    }
-
     /// Reads a length-prefixed byte string.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>> {
-        let n = self.get_len()?;
-        if self.remaining() < n {
+        let n = self.get_u64()?;
+        if n > self.remaining() as u64 {
             return Err(self.truncated("byte string"));
         }
-        let out = self.buf[self.pos..self.pos + n].to_vec();
-        self.pos += n;
+        let out = self.buf[self.pos..self.pos + n as usize].to_vec();
+        self.pos += n as usize;
         Ok(out)
     }
 
@@ -278,34 +259,324 @@ impl<'a> SnapReader<'a> {
         String::from_utf8(self.get_bytes()?)
             .map_err(|_| Error::InvalidData("snapshot corrupt: invalid UTF-8 string".into()))
     }
+}
 
-    /// Reads an optional `u64`.
-    pub fn get_opt_u64(&mut self) -> Result<Option<u64>> {
-        Ok(if self.get_u64()? != 0 {
-            Some(self.get_u64()?)
-        } else {
-            None
-        })
+fn corrupt(what: impl std::fmt::Display) -> Error {
+    Error::InvalidData(format!("snapshot corrupt: {what}"))
+}
+
+/// A value with one byte layout, used by snapshots and the wire alike.
+/// Every impl writes at least one `u64` word, which is what lets a
+/// sequence length be checked against the bytes left before anything
+/// is allocated.
+pub trait Snap: Sized {
+    /// Appends the value.
+    fn snap(&self, w: &mut SnapWriter);
+
+    /// Reads a value back, refusing bytes no [`Snap::snap`] writes.
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self>;
+
+    /// The value's bytes alone (no checksum).
+    fn snap_bytes(&self) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        self.snap(&mut w);
+        w.into_bytes()
     }
 
-    /// Reads an optional float.
-    pub fn get_opt_f64(&mut self) -> Result<Option<f64>> {
-        Ok(if self.get_u64()? != 0 {
-            Some(self.get_f64()?)
-        } else {
-            None
-        })
+    /// Reads a value that must fill `bytes` exactly.
+    fn unsnap_exact(bytes: &[u8]) -> Result<Self> {
+        let mut r = SnapReader::new(bytes);
+        let x = Self::unsnap(&mut r)?;
+        r.finish()?;
+        Ok(x)
+    }
+}
+
+/// The part of a value a snapshot carries, restored into a value whose
+/// other fields its owner already rebuilt (identity fields come from
+/// the workload, not from the bytes).
+pub trait SnapPart {
+    /// Appends the carried fields.
+    fn snap_part(&self, w: &mut SnapWriter);
+
+    /// Overwrites the carried fields from `r`.
+    fn unsnap_part(&mut self, r: &mut SnapReader<'_>) -> Result<()>;
+}
+
+/// States a struct's layout as its field list, in byte order.
+///
+/// `snap_fields!(Ty { a, b })` implements [`Snap`]: the fields are
+/// written in list order and read back into a new value (every field
+/// must be listed; tuple fields are named by index, `Tick { 0 }`).
+/// `snap_fields!(in Ty { a, b })` implements [`SnapPart`] for the
+/// listed fields only.
+#[macro_export]
+macro_rules! snap_fields {
+    ($ty:ident { $($field:tt),* $(,)? }) => {
+        impl $crate::checkpoint::Snap for $ty {
+            fn snap(&self, w: &mut $crate::checkpoint::SnapWriter) {
+                $( $crate::checkpoint::Snap::snap(&self.$field, w); )*
+            }
+
+            fn unsnap(
+                r: &mut $crate::checkpoint::SnapReader<'_>,
+            ) -> $crate::checkpoint::Result<Self> {
+                Ok(Self { $( $field: $crate::checkpoint::Snap::unsnap(r)?, )* })
+            }
+        }
+    };
+    (in $ty:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::checkpoint::SnapPart for $ty {
+            fn snap_part(&self, w: &mut $crate::checkpoint::SnapWriter) {
+                $( $crate::checkpoint::Snap::snap(&self.$field, w); )*
+            }
+
+            fn unsnap_part(
+                &mut self,
+                r: &mut $crate::checkpoint::SnapReader<'_>,
+            ) -> $crate::checkpoint::Result<()> {
+                $( self.$field = $crate::checkpoint::Snap::unsnap(r)?; )*
+                Ok(())
+            }
+        }
+    };
+}
+
+/// States an enum's layout as a tag table: each variant is a `u64` tag
+/// followed by its fields in list order. Struct variants list their
+/// field names, tuple variants name their elements:
+///
+/// ```ignore
+/// snap_tagged!(Msg {
+///     1 => Ping,
+///     2 => Put { key, value },
+///     3 => Wrapped(inner),
+/// });
+/// ```
+#[macro_export]
+macro_rules! snap_tagged {
+    ($ty:ident {
+        $( $tag:literal => $var:ident
+            $( { $($field:ident),* $(,)? } )?
+            $( ( $($elem:ident),* $(,)? ) )?
+        ),* $(,)?
+    }) => {
+        impl $crate::checkpoint::Snap for $ty {
+            fn snap(&self, w: &mut $crate::checkpoint::SnapWriter) {
+                match self {
+                    $( Self::$var $( { $($field),* } )? $( ( $($elem),* ) )? => {
+                        w.put_u64($tag);
+                        $( $( $crate::checkpoint::Snap::snap($field, w); )* )?
+                        $( $( $crate::checkpoint::Snap::snap($elem, w); )* )?
+                    } )*
+                }
+            }
+
+            #[inline]
+            fn unsnap(
+                r: &mut $crate::checkpoint::SnapReader<'_>,
+            ) -> $crate::checkpoint::Result<Self> {
+                Ok(match r.get_u64()? {
+                    $( $tag => Self::$var
+                        $( { $( $field: $crate::checkpoint::Snap::unsnap(r)? ),* } )?
+                        $( ( $( { let $elem = $crate::checkpoint::Snap::unsnap(r)?; $elem } ),* ) )?,
+                    )*
+                    tag => {
+                        return Err($crate::checkpoint::Error::InvalidData(format!(
+                            "unknown {} tag {tag}",
+                            stringify!($ty)
+                        )))
+                    }
+                })
+            }
+        }
+    };
+}
+
+impl Snap for u64 {
+    #[inline]
+    fn snap(&self, w: &mut SnapWriter) {
+        w.put_u64(*self);
     }
 
-    /// Reads a PSI window.
-    pub fn get_psi(&mut self) -> Result<PsiWindow> {
-        Ok(PsiWindow {
-            avg10: self.get_f64()?,
-            avg60: self.get_f64()?,
-            avg300: self.get_f64()?,
+    #[inline]
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<u64> {
+        r.get_u64()
+    }
+}
+
+impl Snap for f64 {
+    #[inline]
+    fn snap(&self, w: &mut SnapWriter) {
+        w.put_f64(*self);
+    }
+
+    #[inline]
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<f64> {
+        r.get_f64()
+    }
+}
+
+impl Snap for String {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.put_str(self);
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<String> {
+        r.get_str()
+    }
+}
+
+/// Integers narrower than the word: written widened, read back only if
+/// the word fits (a truncating cast would turn corruption into a
+/// plausible value).
+macro_rules! snap_narrow {
+    ($($t:ty),*) => {$(
+        impl Snap for $t {
+            #[inline]
+            fn snap(&self, w: &mut SnapWriter) {
+                w.put_u64(*self as u64);
+            }
+
+            #[inline]
+            fn unsnap(r: &mut SnapReader<'_>) -> Result<$t> {
+                let x = r.get_u64()?;
+                <$t>::try_from(x)
+                    .map_err(|_| corrupt(format!("{x} is out of range for {}", stringify!($t))))
+            }
+        }
+    )*};
+}
+
+snap_narrow!(u8, u32, usize);
+
+/// `false`/`true` as the words 0/1.
+impl Snap for bool {
+    #[inline]
+    fn snap(&self, w: &mut SnapWriter) {
+        w.put_u64(*self as u64);
+    }
+
+    #[inline]
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<bool> {
+        match r.get_u64()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            x => Err(corrupt(format!("boolean word {x}"))),
+        }
+    }
+}
+
+/// A presence word (0/1), then the value when present.
+impl<T: Snap> Snap for Option<T> {
+    #[inline]
+    fn snap(&self, w: &mut SnapWriter) {
+        self.is_some().snap(w);
+        if let Some(x) = self {
+            x.snap(w);
+        }
+    }
+
+    #[inline]
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Option<T>> {
+        Ok(if bool::unsnap(r)? {
+            Some(T::unsnap(r)?)
+        } else {
+            None
         })
     }
 }
+
+/// A length word, then the elements.
+impl<T: Snap> Snap for Vec<T> {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.put_seq(self.iter());
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Vec<T>> {
+        let n = r.get_u64()?;
+        // Each element is at least one word, so this also bounds the
+        // allocation by what the bytes can hold.
+        if n > (r.remaining() / 8) as u64 {
+            return Err(corrupt(format!(
+                "sequence length {n} exceeds remaining {} bytes",
+                r.remaining()
+            )));
+        }
+        let mut out = Vec::with_capacity(n as usize);
+        for _ in 0..n {
+            out.push(T::unsnap(r)?);
+        }
+        Ok(out)
+    }
+}
+
+/// The layout of a `Vec<T>` whose length word must equal `N`.
+impl<T: Snap, const N: usize> Snap for [T; N] {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.put_seq(self.iter());
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<[T; N]> {
+        <[T; N]>::try_from(Vec::unsnap(r)?)
+            .map_err(|v| corrupt(format!("{} entries where {N} are expected", v.len())))
+    }
+}
+
+impl<A: Snap, B: Snap> Snap for (A, B) {
+    #[inline]
+    fn snap(&self, w: &mut SnapWriter) {
+        self.0.snap(w);
+        self.1.snap(w);
+    }
+
+    #[inline]
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<(A, B)> {
+        Ok((A::unsnap(r)?, B::unsnap(r)?))
+    }
+}
+
+snap_fields!(Tick { 0 });
+snap_fields!(PodId { 0 });
+snap_fields!(NodeId { 0 });
+snap_fields!(AppId { 0 });
+snap_fields!(Resources { cpu, mem });
+snap_fields!(PsiWindow {
+    avg10,
+    avg60,
+    avg300
+});
+
+/// A class is its position in [`SloClass::ALL`].
+impl Snap for SloClass {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.index().snap(w);
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<SloClass> {
+        let code = u64::unsnap(r)?;
+        SloClass::ALL
+            .into_iter()
+            .find(|c| c.index() as u64 == code)
+            .ok_or_else(|| corrupt(format!("bad SLO class code {code}")))
+    }
+}
+
+// Explicit codes: a variant's tag must not move if the enum is
+// reordered.
+snap_tagged!(NodeLifecycle {
+    0 => Up,
+    1 => Draining,
+    2 => Down,
+});
+
+snap_tagged!(DelayCause {
+    0 => CpuAndMemory,
+    1 => Cpu,
+    2 => Memory,
+    3 => Other,
+    4 => Eviction,
+});
 
 /// Verifies the trailing checksum and returns the payload (everything
 /// before the trailer).
@@ -345,71 +616,6 @@ pub fn read_snapshot_file(path: &Path) -> Result<Vec<u8>> {
         .map_err(|e| Error::InvalidData(format!("cannot read snapshot {}: {e}", path.display())))
 }
 
-// --- Enum codecs (explicit discriminants; `as` casts on the enums
-// themselves would silently shift if a variant were reordered). ---
-
-/// Stable code of an SLO class (its position in [`SloClass::ALL`]).
-pub(crate) fn slo_code(s: SloClass) -> u64 {
-    SloClass::ALL
-        .iter()
-        .position(|&c| c == s)
-        .expect("every class is in ALL") as u64
-}
-
-/// Decodes an SLO class code.
-pub(crate) fn slo_from(code: u64) -> Result<SloClass> {
-    SloClass::ALL
-        .get(code as usize)
-        .copied()
-        .ok_or_else(|| Error::InvalidData(format!("snapshot corrupt: bad SLO class code {code}")))
-}
-
-/// Stable code of a node lifecycle state.
-pub(crate) fn lifecycle_code(l: NodeLifecycle) -> u64 {
-    match l {
-        NodeLifecycle::Up => 0,
-        NodeLifecycle::Draining => 1,
-        NodeLifecycle::Down => 2,
-    }
-}
-
-/// Decodes a node lifecycle code.
-pub(crate) fn lifecycle_from(code: u64) -> Result<NodeLifecycle> {
-    match code {
-        0 => Ok(NodeLifecycle::Up),
-        1 => Ok(NodeLifecycle::Draining),
-        2 => Ok(NodeLifecycle::Down),
-        _ => Err(Error::InvalidData(format!(
-            "snapshot corrupt: bad lifecycle code {code}"
-        ))),
-    }
-}
-
-/// Stable code of a delay cause.
-pub(crate) fn delay_code(d: DelayCause) -> u64 {
-    match d {
-        DelayCause::CpuAndMemory => 0,
-        DelayCause::Cpu => 1,
-        DelayCause::Memory => 2,
-        DelayCause::Other => 3,
-        DelayCause::Eviction => 4,
-    }
-}
-
-/// Decodes a delay-cause code.
-pub(crate) fn delay_from(code: u64) -> Result<DelayCause> {
-    match code {
-        0 => Ok(DelayCause::CpuAndMemory),
-        1 => Ok(DelayCause::Cpu),
-        2 => Ok(DelayCause::Memory),
-        3 => Ok(DelayCause::Other),
-        4 => Ok(DelayCause::Eviction),
-        _ => Err(Error::InvalidData(format!(
-            "snapshot corrupt: bad delay-cause code {code}"
-        ))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,41 +624,38 @@ mod tests {
     fn scalar_roundtrip_including_nan_bits() {
         let mut w = SnapWriter::new();
         w.put_magic();
-        w.put_u64(42);
-        w.put_f64(std::f64::consts::PI);
-        w.put_f64(f64::NAN);
-        w.put_bool(true);
-        w.put_str("Optum");
-        w.put_opt_u64(Some(7));
-        w.put_opt_u64(None);
-        w.put_opt_f64(Some(-0.0));
+        42u64.snap(&mut w);
+        std::f64::consts::PI.snap(&mut w);
+        f64::NAN.snap(&mut w);
+        true.snap(&mut w);
+        String::from("Optum").snap(&mut w);
+        Some(7u64).snap(&mut w);
+        None::<u64>.snap(&mut w);
+        Some(-0.0f64).snap(&mut w);
         let bytes = w.finish_with_checksum();
 
         let payload = verify_checksum(&bytes).unwrap();
         let mut r = SnapReader::new(payload);
         r.get_magic().unwrap();
-        assert_eq!(r.get_u64().unwrap(), 42);
-        assert_eq!(r.get_f64().unwrap(), std::f64::consts::PI);
+        assert_eq!(u64::unsnap(&mut r).unwrap(), 42);
+        assert_eq!(f64::unsnap(&mut r).unwrap(), std::f64::consts::PI);
         // NaN round-trips bit-exactly (the ERO "unobserved" marker).
-        assert_eq!(r.get_f64().unwrap().to_bits(), f64::NAN.to_bits());
-        assert!(r.get_bool().unwrap());
-        assert_eq!(r.get_str().unwrap(), "Optum");
-        assert_eq!(r.get_opt_u64().unwrap(), Some(7));
-        assert_eq!(r.get_opt_u64().unwrap(), None);
+        assert_eq!(f64::unsnap(&mut r).unwrap().to_bits(), f64::NAN.to_bits());
+        assert!(bool::unsnap(&mut r).unwrap());
+        assert_eq!(String::unsnap(&mut r).unwrap(), "Optum");
+        assert_eq!(Option::<u64>::unsnap(&mut r).unwrap(), Some(7));
+        assert_eq!(Option::<u64>::unsnap(&mut r).unwrap(), None);
         assert_eq!(
-            r.get_opt_f64().unwrap().unwrap().to_bits(),
+            Option::<f64>::unsnap(&mut r).unwrap().unwrap().to_bits(),
             (-0.0f64).to_bits()
         );
-        assert_eq!(r.remaining(), 0);
+        r.finish().unwrap();
     }
 
     #[test]
     fn truncation_errors_not_panics() {
-        let mut w = SnapWriter::new();
-        w.put_u64(1);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes[..4]);
-        let err = r.get_u64().unwrap_err();
+        let bytes = 1u64.snap_bytes();
+        let err = u64::unsnap(&mut SnapReader::new(&bytes[..4])).unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
     }
 
@@ -469,12 +672,12 @@ mod tests {
 
     #[test]
     fn hostile_length_is_rejected() {
-        let mut w = SnapWriter::new();
-        w.put_u64(u64::MAX); // absurd sequence length
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        let err = r.get_len().unwrap_err();
+        // An absurd sequence length is refused before any allocation.
+        let bytes = u64::MAX.snap_bytes();
+        let err = Vec::<u64>::unsnap_exact(&bytes).unwrap_err();
         assert!(err.to_string().contains("exceeds remaining"), "{err}");
+        let err = String::unsnap_exact(&bytes).unwrap_err();
+        assert!(err.to_string().contains("truncated"), "{err}");
     }
 
     #[test]
@@ -487,27 +690,52 @@ mod tests {
     #[test]
     fn enum_codes_roundtrip() {
         for &s in &SloClass::ALL {
-            assert_eq!(slo_from(slo_code(s)).unwrap(), s);
+            assert_eq!(s.snap_bytes(), (s.index() as u64).snap_bytes());
+            assert_eq!(SloClass::unsnap_exact(&s.snap_bytes()).unwrap(), s);
         }
-        for l in [
+        let lifecycles = [
             NodeLifecycle::Up,
             NodeLifecycle::Draining,
             NodeLifecycle::Down,
-        ] {
-            assert_eq!(lifecycle_from(lifecycle_code(l)).unwrap(), l);
+        ];
+        for (code, l) in lifecycles.into_iter().enumerate() {
+            assert_eq!(l.snap_bytes(), (code as u64).snap_bytes());
+            assert_eq!(NodeLifecycle::unsnap_exact(&l.snap_bytes()).unwrap(), l);
         }
-        for d in [
+        let causes = [
             DelayCause::CpuAndMemory,
             DelayCause::Cpu,
             DelayCause::Memory,
             DelayCause::Other,
             DelayCause::Eviction,
-        ] {
-            assert_eq!(delay_from(delay_code(d)).unwrap(), d);
+        ];
+        for (code, d) in causes.into_iter().enumerate() {
+            assert_eq!(d.snap_bytes(), (code as u64).snap_bytes());
+            assert_eq!(DelayCause::unsnap_exact(&d.snap_bytes()).unwrap(), d);
         }
-        assert!(slo_from(99).is_err());
-        assert!(lifecycle_from(99).is_err());
-        assert!(delay_from(99).is_err());
+        let bad = 99u64.snap_bytes();
+        assert!(SloClass::unsnap_exact(&bad).is_err());
+        assert!(NodeLifecycle::unsnap_exact(&bad).is_err());
+        assert!(DelayCause::unsnap_exact(&bad).is_err());
+    }
+
+    #[test]
+    fn narrow_words_are_range_checked_not_truncated() {
+        let word = |x: u64| x.snap_bytes();
+        assert_eq!(u32::unsnap_exact(&word(u32::MAX as u64)).unwrap(), u32::MAX);
+        assert!(u32::unsnap_exact(&word(1 << 32)).is_err());
+        assert!(PodId::unsnap_exact(&word((1 << 32) | 5)).is_err());
+        assert_eq!(u8::unsnap_exact(&word(255)).unwrap(), 255);
+        assert!(u8::unsnap_exact(&word(258)).is_err());
+        // Presence and boolean words are 0 or 1, nothing else.
+        assert!(bool::unsnap_exact(&word(2)).is_err());
+        assert!(Option::<u64>::unsnap_exact(&[word(2), word(7)].concat()).is_err());
+        // A fixed-size array's length word must be its size.
+        let two = vec![1u64, 2].snap_bytes();
+        assert_eq!(<[u64; 2]>::unsnap_exact(&two).unwrap(), [1, 2]);
+        assert!(<[u64; 3]>::unsnap_exact(&two).is_err());
+        // Trailing bytes after an exact read are refused.
+        assert!(u64::unsnap_exact(&[word(1), word(2)].concat()).is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use optum_trace::{hash_noise, mix, noise_key, AppProfile, PsiShape, TickTerms, W
 
 use crate::admission::{Admission, Admit};
 use crate::appstats::AppStatsStore;
-use crate::checkpoint::{self, Fingerprint, SnapReader, SnapWriter, SNAP_VERSION};
+use crate::checkpoint::{self, Fingerprint, Snap, SnapPart, SnapReader, SnapWriter, SNAP_VERSION};
 use crate::config::SimConfig;
 use crate::node::{NodeRuntime, ResidentPod};
 use crate::result::{
@@ -1758,7 +1758,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
             let s = &p.spec;
             fp.fold(s.id.0 as u64);
             fp.fold(s.app.0 as u64);
-            fp.fold(checkpoint::slo_code(s.slo));
+            fp.fold(s.slo.index() as u64);
             fp.fold_f64(s.request.cpu);
             fp.fold_f64(s.request.mem);
             fp.fold(s.arrival.0);
@@ -1768,6 +1768,8 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
     }
 
     /// Serializes the complete mutable state at the top of tick `t`.
+    /// Hand-written: the header carries fingerprints and the layout
+    /// check, and the per-pod slots are the engine's own vectors.
     fn snapshot_bytes(&self, t: Tick) -> Result<Vec<u8>> {
         let Some(sched_state) = self.scheduler.save_state() else {
             return Err(Error::InvalidConfig(format!(
@@ -1784,127 +1786,67 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
         // Shard layout (v3+): shard count, fleet size, then each
         // half-open host range. Restore refuses a layout mismatch.
         let layout = self.config.effective_shard_layout();
-        w.put_u64(layout.ranges.len() as u64);
-        w.put_u64(layout.hosts as u64);
-        for &(a, b) in &layout.ranges {
-            w.put_u64(a as u64);
-            w.put_u64(b as u64);
+        layout.ranges.len().snap(&mut w);
+        layout.hosts.snap(&mut w);
+        for range in &layout.ranges {
+            range.snap(&mut w);
         }
-        w.put_u64(t.0);
+        t.snap(&mut w);
         w.put_str(&self.scheduler.name());
         w.put_bytes(&sched_state);
         // Cursors and queues.
-        w.put_u64(self.next_arrival as u64);
-        w.put_u64(self.next_fault as u64);
-        w.put_u64(self.admission.pending().len() as u64);
-        for p in self.admission.pending() {
-            w.put_u64(p.0 as u64);
-        }
-        w.put_bool(self.admission.is_sorted());
-        w.put_u64(self.admission.throttled().len() as u64);
-        for p in self.admission.throttled() {
-            w.put_u64(p.0 as u64);
-        }
+        self.next_arrival.snap(&mut w);
+        self.next_fault.snap(&mut w);
+        w.put_seq(self.admission.pending().iter());
+        self.admission.is_sorted().snap(&mut w);
+        w.put_seq(self.admission.throttled().iter());
         // Cluster and application state.
-        w.put_u64(self.nodes.len() as u64);
+        self.nodes.len().snap(&mut w);
         for n in &self.nodes {
-            n.snap_save(&mut w);
+            n.snap_part(&mut w);
         }
-        self.apps.snap_save(&mut w);
-        // Per-pod state (all vectors are indexed by pod id and sized
-        // to the workload, so only the values are stored).
-        w.put_u64(self.location.len() as u64);
+        self.apps.snap(&mut w);
+        // Per-pod state: every vector is indexed by pod id and sized to
+        // the workload, so only the values are stored. A running pod's
+        // slot names its node and carries its physics record's state.
+        self.location.len().snap(&mut w);
         for (pid, host) in self.location.iter().enumerate() {
-            match host {
-                Some(node) => {
-                    let state = self.nodes[node.index()]
-                        .physics()
-                        .iter()
-                        .find(|s| s.id.index() == pid)
-                        .expect("a located pod is resident on its node");
-                    w.put_u64(1);
-                    w.put_u64(node.0 as u64);
-                    state.snap_save_state(&mut w);
-                }
-                None => w.put_u64(0),
+            host.is_some().snap(&mut w);
+            if let Some(node) = host {
+                node.snap(&mut w);
+                self.nodes[node.index()]
+                    .physics()
+                    .iter()
+                    .find(|s| s.id.index() == pid)
+                    .expect("a located pod is resident on its node")
+                    .snap_part(&mut w);
             }
         }
-        for sw in &self.suspended_work {
-            w.put_opt_f64(*sw);
+        for x in &self.suspended_work {
+            x.snap(&mut w);
         }
-        for ev in &self.evicted_at {
-            w.put_opt_u64(ev.map(|t| t.0));
+        for x in &self.evicted_at {
+            x.snap(&mut w);
         }
-        for &f in &self.fault_evicted {
-            w.put_bool(f);
+        for x in &self.fault_evicted {
+            x.snap(&mut w);
         }
-        for nb in &self.not_before {
-            w.put_u64(nb.0);
+        for x in &self.not_before {
+            x.snap(&mut w);
         }
-        // Outcome accumulators: only the fields the run mutates (the
-        // identity fields are rebuilt from the workload on restore).
         for o in &self.outcomes {
-            w.put_opt_u64(o.node.map(|n| n.0 as u64));
-            w.put_opt_u64(o.placed_at.map(|t| t.0));
-            w.put_u64(o.wait_ticks);
-            w.put_opt_u64(o.delay_cause.map(checkpoint::delay_code));
-            w.put_opt_u64(o.completed_at.map(|t| t.0));
-            w.put_opt_u64(o.actual_duration);
-            w.put_f64(o.worst_psi);
-            w.put_f64(o.max_pod_cpu_util);
-            w.put_f64(o.max_pod_mem_util);
-            w.put_f64(o.max_host_cpu_util);
-            w.put_f64(o.max_host_mem_util);
-            w.put_f64(o.mean_pod_cpu_util);
-            w.put_f64(o.mean_pod_mem_util);
-            w.put_u64(o.preemptions as u64);
-            w.put_u64(o.evictions as u64);
-            w.put_opt_u64(o.rank_by_usage.map(u64::from));
-            w.put_opt_u64(o.rank_by_request.map(u64::from));
-            w.put_opt_u64(o.shed_at.map(|t| t.0));
-            w.put_opt_u64(o.disconnected_at.map(|t| t.0));
+            o.snap_part(&mut w);
         }
-        self.churn.snap_save(&mut w);
-        self.violations.snap_save(&mut w);
-        self.admission.stats().snap_save(&mut w);
-        // Recorded series.
-        w.put_u64(self.cluster_series.len() as u64);
-        for s in &self.cluster_series {
-            s.snap_save(&mut w);
-        }
-        w.put_u64(self.pod_series.len() as u64);
-        for (pid, points) in &self.pod_series {
-            w.put_u64(pid.0 as u64);
-            w.put_u64(points.len() as u64);
-            for p in points {
-                p.snap_save(&mut w);
-            }
-        }
-        // Training collections.
-        w.put_u64(self.psi_samples.len() as u64);
-        for s in &self.psi_samples {
-            w.put_u64(s.app.0 as u64);
-            w.put_f64(s.pod_cpu_util);
-            w.put_f64(s.pod_mem_util);
-            w.put_f64(s.host_cpu_util);
-            w.put_f64(s.host_mem_util);
-            w.put_f64(s.qps_norm);
-            w.put_f64(s.psi);
-        }
-        w.put_u64(self.ct_samples.len() as u64);
-        for s in &self.ct_samples {
-            w.put_u64(s.app.0 as u64);
-            w.put_f64(s.max_pod_cpu_util);
-            w.put_f64(s.max_pod_mem_util);
-            w.put_f64(s.max_host_cpu_util);
-            w.put_f64(s.max_host_mem_util);
-            w.put_f64(s.ct_norm);
-        }
-        self.triple_ero.snap_save(&mut w);
-        w.put_u64(self.node_snapshot.len() as u64);
-        for s in &self.node_snapshot {
-            s.snap_save(&mut w);
-        }
+        self.churn.snap(&mut w);
+        self.violations.snap(&mut w);
+        self.admission.stats().snap(&mut w);
+        // Recorded series and training collections.
+        self.cluster_series.snap(&mut w);
+        self.pod_series.snap(&mut w);
+        self.psi_samples.snap(&mut w);
+        self.ct_samples.snap(&mut w);
+        self.triple_ero.snap(&mut w);
+        self.node_snapshot.snap(&mut w);
         Ok(w.finish_with_checksum())
     }
 
@@ -1922,7 +1864,12 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
         Ok(())
     }
 
-    /// Restores snapshot bytes into this freshly built simulator.
+    /// Restores snapshot bytes into this freshly built simulator,
+    /// trusting nothing it reads: besides the fingerprints and the
+    /// layout, every resident must be the workload's pod as `place`
+    /// builds it, every running pod resident on the node its slot
+    /// names, every queued pod arrived, idle and queued once, and the
+    /// admission ledger balanced.
     fn restore_from(&mut self, bytes: &[u8]) -> Result<()> {
         if self.config.predictor_eval.is_some() {
             return Err(Error::InvalidConfig(
@@ -1954,17 +1901,12 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
                 "snapshot was taken over a different workload".into(),
             ));
         }
-        let shard_count = r.get_len()?;
-        let snap_hosts = r.get_u64()? as usize;
-        let mut snap_ranges = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
-            let a = r.get_u64()?;
-            let b = r.get_u64()?;
-            snap_ranges.push((a as u32, b as u32));
-        }
+        let shard_count = usize::unsnap(&mut r)?;
         let snap_layout = optum_types::ShardLayout {
-            hosts: snap_hosts,
-            ranges: snap_ranges,
+            hosts: usize::unsnap(&mut r)?,
+            ranges: (0..shard_count)
+                .map(|_| Snap::unsnap(&mut r))
+                .collect::<Result<_>>()?,
         };
         let layout = self.config.effective_shard_layout();
         if snap_layout != layout {
@@ -1976,7 +1918,7 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
                 layout.describe()
             )));
         }
-        let t = Tick(r.get_u64()?);
+        let t = Tick::unsnap(&mut r)?;
         if t >= self.end_tick {
             return Err(Error::InvalidData(format!(
                 "snapshot tick {} is not before the configured end tick {}",
@@ -1994,179 +1936,153 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
         let sched_state = r.get_bytes()?;
         self.scheduler.load_state(&sched_state)?;
         // Cursors and queues.
-        self.next_arrival = r.get_u64()? as usize;
-        self.next_fault = r.get_u64()? as usize;
-        if self.next_arrival > self.workload.pods.len() || self.next_fault > self.faults.len() {
+        let n_pods = self.workload.pods.len();
+        self.next_arrival = usize::unsnap(&mut r)?;
+        self.next_fault = usize::unsnap(&mut r)?;
+        if self.next_arrival > n_pods || self.next_fault > self.faults.len() {
             return Err(Error::InvalidData(
                 "snapshot corrupt: cursor beyond plan length".into(),
             ));
         }
-        let n_pods = self.workload.pods.len();
-        let read_ids = |r: &mut SnapReader<'_>| -> Result<Vec<PodId>> {
-            (0..r.get_len()?)
-                .map(|_| match r.get_u64()? {
-                    id if id < n_pods as u64 => Ok(PodId(id as u32)),
-                    _ => Err(Error::InvalidData(
-                        "snapshot corrupt: queued pod id out of range".into(),
-                    )),
-                })
-                .collect()
-        };
-        let pending = read_ids(&mut r)?;
-        let sorted = r.get_bool()?;
-        let throttled = read_ids(&mut r)?.into();
-        self.admission
-            .restore_queues(pending, sorted, throttled, pod_meta(self.workload));
+        let pending: Vec<PodId> = Snap::unsnap(&mut r)?;
+        let sorted = bool::unsnap(&mut r)?;
+        let throttled: Vec<PodId> = Snap::unsnap(&mut r)?;
         // Cluster and application state.
-        let n_nodes = r.get_len()?;
+        let n_nodes = usize::unsnap(&mut r)?;
         if n_nodes != self.nodes.len() {
             return Err(Error::InvalidData(format!(
                 "snapshot covers {n_nodes} nodes but the cluster has {}",
                 self.nodes.len()
             )));
         }
-        for i in 0..n_nodes {
-            let spec = self.nodes[i].spec;
-            self.nodes[i] = NodeRuntime::snap_load(spec, self.config.history_window, &mut r)?;
+        let bits = |r: Resources| (r.cpu.to_bits(), r.mem.to_bits());
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            node.unsnap_part(&mut r)?;
+            // Residents carry their identity so the list can be rebuilt
+            // in placement order; it must be the one `place` took from
+            // the workload.
+            for pod in node.pods() {
+                let matches = self.workload.pods.get(pod.id.index()).is_some_and(|gen| {
+                    let spec = &gen.spec;
+                    (pod.app, pod.slo) == (spec.app, spec.slo)
+                        && (bits(pod.request), bits(pod.limit))
+                            == (bits(spec.request), bits(spec.limit))
+                });
+                if !matches {
+                    return Err(Error::InvalidData(format!(
+                        "snapshot corrupt: resident pod {} on node {i} is not the \
+                         workload's pod of that id",
+                        pod.id.0
+                    )));
+                }
+            }
         }
-        self.apps = AppStatsStore::snap_load(self.workload.apps.len(), &mut r)?;
-        // Per-pod state.
-        let n_pods = self.workload.pods.len();
-        let n_running = r.get_len()?;
-        if n_running != n_pods {
+        self.apps = Snap::unsnap(&mut r)?;
+        if self.apps.len() != self.workload.apps.len() {
             return Err(Error::InvalidData(format!(
-                "snapshot covers {n_running} pods but the workload has {n_pods}"
+                "snapshot covers {} applications but the workload has {}",
+                self.apps.len(),
+                self.workload.apps.len()
+            )));
+        }
+        // Per-pod state.
+        let n_slots = usize::unsnap(&mut r)?;
+        if n_slots != n_pods {
+            return Err(Error::InvalidData(format!(
+                "snapshot covers {n_slots} pods but the workload has {n_pods}"
             )));
         }
         // The nodes' records were rebuilt by `add_pod` above; each
         // running slot names its node and carries the record's state.
         for (slot, gen) in self.location.iter_mut().zip(&self.workload.pods) {
             *slot = None;
-            if r.get_u64()? == 0 {
+            if !bool::unsnap(&mut r)? {
                 continue;
             }
-            let node = r.get_u64()? as usize;
+            let node = NodeId::unsnap(&mut r)?;
             let state = self
                 .nodes
-                .get_mut(node)
+                .get_mut(node.index())
                 .and_then(|n| n.physics_mut().iter_mut().find(|s| s.id == gen.spec.id))
                 .ok_or_else(|| {
                     Error::InvalidData(format!(
-                        "snapshot corrupt: running pod {} is not resident on node {node}",
-                        gen.spec.id.0
+                        "snapshot corrupt: running pod {} is not resident on node {}",
+                        gen.spec.id.0, node.0
                     ))
                 })?;
-            state.snap_load_state(&mut r)?;
+            state.unsnap_part(&mut r)?;
             state.input_factor = gen.input_factor;
-            *slot = Some(NodeId(node as u32));
+            *slot = Some(node);
         }
         if self.running_count() != self.location.iter().flatten().count() {
             return Err(Error::InvalidData(
                 "snapshot corrupt: a resident pod has no running state".into(),
             ));
         }
-        for slot in self.suspended_work.iter_mut() {
-            *slot = r.get_opt_f64()?;
+        // A queued pod has arrived, is not running and is queued once.
+        let mut queued = vec![false; self.next_arrival];
+        for p in pending.iter().chain(&throttled) {
+            match queued.get_mut(p.index()) {
+                Some(q) if !*q && self.location[p.index()].is_none() => *q = true,
+                _ => {
+                    return Err(Error::InvalidData(format!(
+                        "snapshot corrupt: queued pod {} has not arrived, is running \
+                         or is queued twice",
+                        p.0
+                    )))
+                }
+            }
         }
-        for slot in self.evicted_at.iter_mut() {
-            *slot = r.get_opt_u64()?.map(Tick);
+        self.admission
+            .restore_queues(pending, sorted, throttled.into(), pod_meta(self.workload));
+        for x in &mut self.suspended_work {
+            *x = Snap::unsnap(&mut r)?;
         }
-        for slot in self.fault_evicted.iter_mut() {
-            *slot = r.get_bool()?;
+        for x in &mut self.evicted_at {
+            *x = Snap::unsnap(&mut r)?;
         }
-        for slot in self.not_before.iter_mut() {
-            *slot = Tick(r.get_u64()?);
+        for x in &mut self.fault_evicted {
+            *x = Snap::unsnap(&mut r)?;
         }
-        for o in self.outcomes.iter_mut() {
-            o.node = r.get_opt_u64()?.map(|n| NodeId(n as u32));
-            o.placed_at = r.get_opt_u64()?.map(Tick);
-            o.wait_ticks = r.get_u64()?;
-            o.delay_cause = match r.get_opt_u64()? {
-                Some(code) => Some(checkpoint::delay_from(code)?),
-                None => None,
-            };
-            o.completed_at = r.get_opt_u64()?.map(Tick);
-            o.actual_duration = r.get_opt_u64()?;
-            o.worst_psi = r.get_f64()?;
-            o.max_pod_cpu_util = r.get_f64()?;
-            o.max_pod_mem_util = r.get_f64()?;
-            o.max_host_cpu_util = r.get_f64()?;
-            o.max_host_mem_util = r.get_f64()?;
-            o.mean_pod_cpu_util = r.get_f64()?;
-            o.mean_pod_mem_util = r.get_f64()?;
-            o.preemptions = r.get_u64()? as u32;
-            o.evictions = r.get_u64()? as u32;
-            o.rank_by_usage = r.get_opt_u64()?.map(|x| x as u32);
-            o.rank_by_request = r.get_opt_u64()?.map(|x| x as u32);
-            o.shed_at = r.get_opt_u64()?.map(Tick);
-            o.disconnected_at = r.get_opt_u64()?.map(Tick);
+        for x in &mut self.not_before {
+            *x = Snap::unsnap(&mut r)?;
         }
-        self.churn = ChurnStats::snap_load(&mut r)?;
-        self.violations = ViolationStats::snap_load(&mut r)?;
-        *self.admission.stats_mut() = OverloadStats::snap_load(&mut r)?;
-        // Recorded series.
-        self.cluster_series.clear();
-        for _ in 0..r.get_len()? {
-            self.cluster_series
-                .push(ClusterTickStats::snap_load(&mut r)?);
+        for o in &mut self.outcomes {
+            o.unsnap_part(&mut r)?;
         }
-        let n_series = r.get_len()?;
-        if n_series != self.pod_series.len() {
+        self.churn = Snap::unsnap(&mut r)?;
+        self.violations = Snap::unsnap(&mut r)?;
+        *self.admission.stats_mut() = Snap::unsnap(&mut r)?;
+        if !self.admission.ledger_holds() {
+            return Err(Error::InvalidData(
+                "snapshot corrupt: the admission ledger does not balance".into(),
+            ));
+        }
+        // Recorded series and training collections.
+        self.cluster_series = Snap::unsnap(&mut r)?;
+        let pod_series: Vec<(PodId, Vec<PodPoint>)> = Snap::unsnap(&mut r)?;
+        if pod_series.len() != self.pod_series.len() {
             return Err(Error::InvalidData(format!(
-                "snapshot records {n_series} pod series but sampling \
-                 configuration yields {}",
+                "snapshot records {} pod series but sampling configuration \
+                 yields {}",
+                pod_series.len(),
                 self.pod_series.len()
             )));
         }
-        for (pid, points) in self.pod_series.iter_mut() {
-            let saved = PodId(r.get_u64()? as u32);
-            if saved != *pid {
+        for ((saved, _), (pid, _)) in pod_series.iter().zip(&self.pod_series) {
+            if saved != pid {
                 return Err(Error::InvalidData(format!(
                     "snapshot series pod {} does not match expected {}",
                     saved.0, pid.0
                 )));
             }
-            points.clear();
-            for _ in 0..r.get_len()? {
-                points.push(PodPoint::snap_load(&mut r)?);
-            }
         }
-        // Training collections.
-        self.psi_samples.clear();
-        for _ in 0..r.get_len()? {
-            self.psi_samples.push(PsiSample {
-                app: optum_types::AppId(r.get_u64()? as u32),
-                pod_cpu_util: r.get_f64()?,
-                pod_mem_util: r.get_f64()?,
-                host_cpu_util: r.get_f64()?,
-                host_mem_util: r.get_f64()?,
-                qps_norm: r.get_f64()?,
-                psi: r.get_f64()?,
-            });
-        }
-        self.ct_samples.clear();
-        for _ in 0..r.get_len()? {
-            self.ct_samples.push(CtSample {
-                app: optum_types::AppId(r.get_u64()? as u32),
-                max_pod_cpu_util: r.get_f64()?,
-                max_pod_mem_util: r.get_f64()?,
-                max_host_cpu_util: r.get_f64()?,
-                max_host_mem_util: r.get_f64()?,
-                ct_norm: r.get_f64()?,
-            });
-        }
-        self.triple_ero = TripleEroTable::snap_load(&mut r)?;
-        self.node_snapshot.clear();
-        for _ in 0..r.get_len()? {
-            self.node_snapshot
-                .push(crate::result::NodeSnapshot::snap_load(&mut r)?);
-        }
-        if r.remaining() != 0 {
-            return Err(Error::InvalidData(format!(
-                "snapshot corrupt: {} unread trailing bytes",
-                r.remaining()
-            )));
-        }
+        self.pod_series = pod_series;
+        self.psi_samples = Snap::unsnap(&mut r)?;
+        self.ct_samples = Snap::unsnap(&mut r)?;
+        self.triple_ero = Snap::unsnap(&mut r)?;
+        self.node_snapshot = Snap::unsnap(&mut r)?;
+        r.finish()?;
         self.start_tick = t;
         self.next_step = t;
         Ok(())

@@ -34,7 +34,7 @@ pub mod view;
 pub use admission::{Admission, Admit};
 pub use appstats::AppStatsStore;
 pub use checkpoint::{
-    read_snapshot_file, write_snapshot_file, Fingerprint, SnapReader, SnapWriter,
+    read_snapshot_file, write_snapshot_file, Fingerprint, Snap, SnapPart, SnapReader, SnapWriter,
 };
 pub use config::{PredictorEval, SimConfig};
 pub use engine::{physics_stage_table, Simulator, StepOutbox, SubmitEntry};

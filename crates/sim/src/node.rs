@@ -3,7 +3,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use optum_predictors::PodInfo;
-use optum_types::{AppId, NodeLifecycle, NodeSpec, PodId, PsiWindow, Resources, SloClass, Tick};
+use optum_types::{
+    AppId, NodeLifecycle, NodeSpec, PodId, PsiWindow, Resources, Result, SloClass, Tick,
+};
+
+use crate::checkpoint::{Snap, SnapPart, SnapReader, SnapWriter};
 
 /// A pod resident on a node, as the node tracks it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,6 +25,15 @@ pub struct ResidentPod {
     /// When the pod was placed here.
     pub placed_at: Tick,
 }
+
+crate::snap_fields!(ResidentPod {
+    id,
+    app,
+    slo,
+    request,
+    limit,
+    placed_at
+});
 
 /// What the physics pass reads and writes for one resident pod: the
 /// constants it needs every tick and the pod's running state, kept with
@@ -89,43 +102,23 @@ impl PodPhysics {
             util_ticks: 0,
         }
     }
-
-    /// Serializes the running state (the constants are rebuilt from
-    /// the resident pod and the workload at restore time).
-    pub(crate) fn snap_save_state(&self, w: &mut crate::checkpoint::SnapWriter) {
-        w.put_opt_u64(self.end_tick.map(|t| t.0));
-        w.put_f64(self.work_left);
-        w.put_psi(&self.cpu_psi);
-        w.put_psi(&self.mem_psi);
-        w.put_f64(self.worst_psi);
-        w.put_f64(self.max_pod_cpu_util);
-        w.put_f64(self.max_pod_mem_util);
-        w.put_f64(self.max_host_cpu_util);
-        w.put_f64(self.max_host_mem_util);
-        w.put_f64(self.util_sum.cpu);
-        w.put_f64(self.util_sum.mem);
-        w.put_u64(self.util_ticks);
-    }
-
-    /// Restores the running state from a checkpoint section.
-    pub(crate) fn snap_load_state(
-        &mut self,
-        r: &mut crate::checkpoint::SnapReader<'_>,
-    ) -> optum_types::Result<()> {
-        self.end_tick = r.get_opt_u64()?.map(Tick);
-        self.work_left = r.get_f64()?;
-        self.cpu_psi = r.get_psi()?;
-        self.mem_psi = r.get_psi()?;
-        self.worst_psi = r.get_f64()?;
-        self.max_pod_cpu_util = r.get_f64()?;
-        self.max_pod_mem_util = r.get_f64()?;
-        self.max_host_cpu_util = r.get_f64()?;
-        self.max_host_mem_util = r.get_f64()?;
-        self.util_sum = Resources::new(r.get_f64()?, r.get_f64()?);
-        self.util_ticks = r.get_u64()?;
-        Ok(())
-    }
 }
+
+// The running state only: the constants are rebuilt from the resident
+// pod and the workload at restore time.
+crate::snap_fields!(in PodPhysics {
+    end_tick,
+    work_left,
+    cpu_psi,
+    mem_psi,
+    worst_psi,
+    max_pod_cpu_util,
+    max_pod_mem_util,
+    max_host_cpu_util,
+    max_host_mem_util,
+    util_sum,
+    util_ticks
+});
 
 /// Runtime state of one physical host.
 ///
@@ -391,86 +384,47 @@ impl NodeRuntime {
     pub fn free_by_usage(&self) -> Resources {
         self.spec.capacity.saturating_sub(&self.usage)
     }
+}
 
-    /// Serializes the node's mutable state for a checkpoint (the spec
-    /// and window are rebuilt from configuration at restore time).
-    pub(crate) fn snap_save(&self, w: &mut crate::checkpoint::SnapWriter) {
-        use crate::checkpoint::{lifecycle_code, slo_code};
-        w.put_u64(lifecycle_code(self.lifecycle));
-        w.put_f64(self.degrade);
-        w.put_u64(self.pods.len() as u64);
-        for p in &self.pods {
-            w.put_u64(p.id.0 as u64);
-            w.put_u64(p.app.0 as u64);
-            w.put_u64(slo_code(p.slo));
-            w.put_f64(p.request.cpu);
-            w.put_f64(p.request.mem);
-            w.put_f64(p.limit.cpu);
-            w.put_f64(p.limit.mem);
-            w.put_u64(p.placed_at.0);
-        }
+/// The node's mutable state; the spec and window are the node's own
+/// (rebuilt from configuration). Hand-written because restore re-adds
+/// the residents through `add_pod`, so the list takes fresh
+/// `pods_version`s.
+impl SnapPart for NodeRuntime {
+    fn snap_part(&self, w: &mut SnapWriter) {
+        self.lifecycle.snap(w);
+        self.degrade.snap(w);
+        self.pods.snap(w);
         // Running sums are saved verbatim, not recomputed from pods:
         // float accumulation order (adds and removes over the run)
         // would not reproduce them bit-exactly.
         for r in [self.requested, self.requested_be, self.limits, self.usage] {
-            w.put_f64(r.cpu);
-            w.put_f64(r.mem);
+            r.snap(w);
         }
-        w.put_u64(self.cpu_history.len() as u64);
-        for &x in &self.cpu_history {
-            w.put_f64(x);
-        }
-        w.put_u64(self.mem_history.len() as u64);
-        for &x in &self.mem_history {
-            w.put_f64(x);
-        }
-        w.put_f64(self.cpu_sums.0);
-        w.put_f64(self.cpu_sums.1);
-        w.put_f64(self.mem_sums.0);
-        w.put_f64(self.mem_sums.1);
+        self.cpu_history.snap(w);
+        self.mem_history.snap(w);
+        self.cpu_sums.snap(w);
+        self.mem_sums.snap(w);
     }
 
-    /// Restores a node from a checkpoint section.
-    pub(crate) fn snap_load(
-        spec: NodeSpec,
-        window: usize,
-        r: &mut crate::checkpoint::SnapReader<'_>,
-    ) -> optum_types::Result<NodeRuntime> {
-        use crate::checkpoint::{lifecycle_from, slo_from};
-        let mut node = NodeRuntime::with_window(spec, window);
-        node.lifecycle = lifecycle_from(r.get_u64()?)?;
-        node.degrade = r.get_f64()?;
-        let n_pods = r.get_len()?;
-        for _ in 0..n_pods {
-            // Through `add_pod`, like any other placement, so the
-            // restored list carries a version of its own; the running
-            // sums it accumulates are overwritten just below.
-            node.add_pod(ResidentPod {
-                id: PodId(r.get_u64()? as u32),
-                app: AppId(r.get_u64()? as u32),
-                slo: slo_from(r.get_u64()?)?,
-                request: Resources::new(r.get_f64()?, r.get_f64()?),
-                limit: Resources::new(r.get_f64()?, r.get_f64()?),
-                placed_at: Tick(r.get_u64()?),
-            });
+    fn unsnap_part(&mut self, r: &mut SnapReader<'_>) -> Result<()> {
+        let mut node = NodeRuntime::with_window(self.spec, self.window);
+        node.lifecycle = NodeLifecycle::unsnap(r)?;
+        node.degrade = f64::unsnap(r)?;
+        for pod in Vec::<ResidentPod>::unsnap(r)? {
+            node.add_pod(pod);
         }
-        node.requested = Resources::new(r.get_f64()?, r.get_f64()?);
-        node.requested_be = Resources::new(r.get_f64()?, r.get_f64()?);
-        node.limits = Resources::new(r.get_f64()?, r.get_f64()?);
-        node.usage = Resources::new(r.get_f64()?, r.get_f64()?);
-        let n_cpu = r.get_len()?;
-        node.cpu_history.reserve(n_cpu);
-        for _ in 0..n_cpu {
-            node.cpu_history.push(r.get_f64()?);
-        }
-        let n_mem = r.get_len()?;
-        node.mem_history.reserve(n_mem);
-        for _ in 0..n_mem {
-            node.mem_history.push(r.get_f64()?);
-        }
-        node.cpu_sums = (r.get_f64()?, r.get_f64()?);
-        node.mem_sums = (r.get_f64()?, r.get_f64()?);
-        Ok(node)
+        // `add_pod` accumulated sums of its own; the saved ones win.
+        node.requested = Resources::unsnap(r)?;
+        node.requested_be = Resources::unsnap(r)?;
+        node.limits = Resources::unsnap(r)?;
+        node.usage = Resources::unsnap(r)?;
+        node.cpu_history = Vec::unsnap(r)?;
+        node.mem_history = Vec::unsnap(r)?;
+        node.cpu_sums = Snap::unsnap(r)?;
+        node.mem_sums = Snap::unsnap(r)?;
+        *self = node;
+        Ok(())
     }
 }
 
@@ -552,7 +506,6 @@ mod tests {
 #[cfg(test)]
 mod version_tests {
     use super::*;
-    use crate::checkpoint::{SnapReader, SnapWriter};
     use optum_types::NodeId;
     use std::collections::HashSet;
 
@@ -573,9 +526,11 @@ mod version_tests {
 
     fn restore(n: &NodeRuntime) -> NodeRuntime {
         let mut w = SnapWriter::new();
-        n.snap_save(&mut w);
+        n.snap_part(&mut w);
         let bytes = w.into_bytes();
-        NodeRuntime::snap_load(n.spec, DEFAULT_WINDOW, &mut SnapReader::new(&bytes)).unwrap()
+        let mut restored = NodeRuntime::new(n.spec);
+        restored.unsnap_part(&mut SnapReader::new(&bytes)).unwrap();
+        restored
     }
 
     #[test]

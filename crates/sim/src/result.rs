@@ -71,6 +71,30 @@ pub struct PodOutcome {
     pub disconnected_at: Option<Tick>,
 }
 
+// What the run accumulates; the identity fields are rebuilt from the
+// workload on restore.
+crate::snap_fields!(in PodOutcome {
+    node,
+    placed_at,
+    wait_ticks,
+    delay_cause,
+    completed_at,
+    actual_duration,
+    worst_psi,
+    max_pod_cpu_util,
+    max_pod_mem_util,
+    max_host_cpu_util,
+    max_host_mem_util,
+    mean_pod_cpu_util,
+    mean_pod_mem_util,
+    preemptions,
+    evictions,
+    rank_by_usage,
+    rank_by_request,
+    shed_at,
+    disconnected_at
+});
+
 impl PodOutcome {
     /// Folds a placement's performance peaks into the outcome (peaks
     /// carry across evictions).
@@ -151,51 +175,24 @@ pub struct ClusterTickStats {
     pub down_nodes: usize,
 }
 
-impl ClusterTickStats {
-    /// Serializes one recorded point for a checkpoint.
-    pub(crate) fn snap_save(&self, w: &mut crate::checkpoint::SnapWriter) {
-        w.put_u64(self.tick.0);
-        w.put_f64(self.mean_cpu_util);
-        w.put_f64(self.max_cpu_util);
-        w.put_f64(self.mean_mem_util);
-        w.put_f64(self.max_mem_util);
-        w.put_u64(self.active_nodes as u64);
-        w.put_f64(self.mean_cpu_util_active);
-        w.put_f64(self.mean_mem_util_active);
-        w.put_u64(self.pending as u64);
-        w.put_u64(self.running as u64);
-        w.put_u64(self.submitted_be as u64);
-        w.put_u64(self.submitted_ls as u64);
-        w.put_f64(self.mean_be_pod_util);
-        w.put_f64(self.mean_ls_pod_util);
-        w.put_f64(self.mean_ls_qps);
-        w.put_u64(self.down_nodes as u64);
-    }
-
-    /// Restores one recorded point from a checkpoint section.
-    pub(crate) fn snap_load(
-        r: &mut crate::checkpoint::SnapReader<'_>,
-    ) -> optum_types::Result<ClusterTickStats> {
-        Ok(ClusterTickStats {
-            tick: Tick(r.get_u64()?),
-            mean_cpu_util: r.get_f64()?,
-            max_cpu_util: r.get_f64()?,
-            mean_mem_util: r.get_f64()?,
-            max_mem_util: r.get_f64()?,
-            active_nodes: r.get_u64()? as usize,
-            mean_cpu_util_active: r.get_f64()?,
-            mean_mem_util_active: r.get_f64()?,
-            pending: r.get_u64()? as usize,
-            running: r.get_u64()? as usize,
-            submitted_be: r.get_u64()? as usize,
-            submitted_ls: r.get_u64()? as usize,
-            mean_be_pod_util: r.get_f64()?,
-            mean_ls_pod_util: r.get_f64()?,
-            mean_ls_qps: r.get_f64()?,
-            down_nodes: r.get_u64()? as usize,
-        })
-    }
-}
+crate::snap_fields!(ClusterTickStats {
+    tick,
+    mean_cpu_util,
+    max_cpu_util,
+    mean_mem_util,
+    max_mem_util,
+    active_nodes,
+    mean_cpu_util_active,
+    mean_mem_util_active,
+    pending,
+    running,
+    submitted_be,
+    submitted_ls,
+    mean_be_pod_util,
+    mean_ls_pod_util,
+    mean_ls_qps,
+    down_nodes
+});
 
 /// One sampled point of a pod's recorded time series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -222,40 +219,18 @@ pub struct PodPoint {
     pub tx: f64,
 }
 
-impl PodPoint {
-    /// Serializes one sampled point for a checkpoint.
-    pub(crate) fn snap_save(&self, w: &mut crate::checkpoint::SnapWriter) {
-        w.put_u64(self.tick.0);
-        w.put_f64(self.usage.cpu);
-        w.put_f64(self.usage.mem);
-        w.put_psi(&self.cpu_psi);
-        w.put_psi(&self.mem_psi);
-        w.put_f64(self.qps);
-        w.put_f64(self.response_time);
-        w.put_f64(self.host_cpu_util);
-        w.put_f64(self.host_mem_util);
-        w.put_f64(self.rx);
-        w.put_f64(self.tx);
-    }
-
-    /// Restores one sampled point from a checkpoint section.
-    pub(crate) fn snap_load(
-        r: &mut crate::checkpoint::SnapReader<'_>,
-    ) -> optum_types::Result<PodPoint> {
-        Ok(PodPoint {
-            tick: Tick(r.get_u64()?),
-            usage: Resources::new(r.get_f64()?, r.get_f64()?),
-            cpu_psi: r.get_psi()?,
-            mem_psi: r.get_psi()?,
-            qps: r.get_f64()?,
-            response_time: r.get_f64()?,
-            host_cpu_util: r.get_f64()?,
-            host_mem_util: r.get_f64()?,
-            rx: r.get_f64()?,
-            tx: r.get_f64()?,
-        })
-    }
-}
+crate::snap_fields!(PodPoint {
+    tick,
+    usage,
+    cpu_psi,
+    mem_psi,
+    qps,
+    response_time,
+    host_cpu_util,
+    host_mem_util,
+    rx,
+    tx
+});
 
 /// A point-in-time snapshot of one node's commitments (drives the
 /// over-commitment-rate distributions of Fig. 5).
@@ -277,33 +252,15 @@ pub struct NodeSnapshot {
     pub pod_count: u32,
 }
 
-impl NodeSnapshot {
-    /// Serializes one commitment snapshot for a checkpoint.
-    pub(crate) fn snap_save(&self, w: &mut crate::checkpoint::SnapWriter) {
-        w.put_u64(self.node.0 as u64);
-        w.put_u64(self.at.0);
-        for res in [self.capacity, self.requested, self.limits, self.usage] {
-            w.put_f64(res.cpu);
-            w.put_f64(res.mem);
-        }
-        w.put_u64(self.pod_count as u64);
-    }
-
-    /// Restores one commitment snapshot from a checkpoint section.
-    pub(crate) fn snap_load(
-        r: &mut crate::checkpoint::SnapReader<'_>,
-    ) -> optum_types::Result<NodeSnapshot> {
-        Ok(NodeSnapshot {
-            node: NodeId(r.get_u64()? as u32),
-            at: Tick(r.get_u64()?),
-            capacity: Resources::new(r.get_f64()?, r.get_f64()?),
-            requested: Resources::new(r.get_f64()?, r.get_f64()?),
-            limits: Resources::new(r.get_f64()?, r.get_f64()?),
-            usage: Resources::new(r.get_f64()?, r.get_f64()?),
-            pod_count: r.get_u64()? as u32,
-        })
-    }
-}
+crate::snap_fields!(NodeSnapshot {
+    node,
+    at,
+    capacity,
+    requested,
+    limits,
+    usage,
+    pod_count
+});
 
 /// Capacity-violation accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -324,25 +281,13 @@ impl ViolationStats {
         }
         (self.cpu_node_ticks + self.mem_node_ticks) as f64 / self.total_node_ticks as f64
     }
-
-    /// Serializes the accounting for a checkpoint.
-    pub(crate) fn snap_save(&self, w: &mut crate::checkpoint::SnapWriter) {
-        w.put_u64(self.cpu_node_ticks);
-        w.put_u64(self.mem_node_ticks);
-        w.put_u64(self.total_node_ticks);
-    }
-
-    /// Restores the accounting from a checkpoint section.
-    pub(crate) fn snap_load(
-        r: &mut crate::checkpoint::SnapReader<'_>,
-    ) -> optum_types::Result<ViolationStats> {
-        Ok(ViolationStats {
-            cpu_node_ticks: r.get_u64()?,
-            mem_node_ticks: r.get_u64()?,
-            total_node_ticks: r.get_u64()?,
-        })
-    }
 }
+
+crate::snap_fields!(ViolationStats {
+    cpu_node_ticks,
+    mem_node_ticks,
+    total_node_ticks
+});
 
 /// Recovery accounting for one SLO class under churn.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -368,6 +313,13 @@ impl ClassChurn {
         self.resched_ticks as f64 / self.rescheduled as f64
     }
 }
+
+crate::snap_fields!(ClassChurn {
+    evictions,
+    rescheduled,
+    resched_ticks,
+    failed
+});
 
 /// Fault-injection and recovery accounting for one run. All-zero for
 /// healthy runs (an empty fault plan).
@@ -409,53 +361,17 @@ impl ChurnStats {
     pub fn total_evictions(&self) -> u64 {
         self.per_class.iter().map(|c| c.evictions).sum()
     }
-
-    /// Serializes the accounting for a checkpoint.
-    pub(crate) fn snap_save(&self, w: &mut crate::checkpoint::SnapWriter) {
-        w.put_u64(self.crashes);
-        w.put_u64(self.drains);
-        w.put_u64(self.degradations);
-        w.put_u64(self.pod_kills);
-        w.put_u64(self.down_node_ticks);
-        w.put_u64(self.stale_rejections);
-        w.put_u64(self.per_class.len() as u64);
-        for c in &self.per_class {
-            w.put_u64(c.evictions);
-            w.put_u64(c.rescheduled);
-            w.put_u64(c.resched_ticks);
-            w.put_u64(c.failed);
-        }
-    }
-
-    /// Restores the accounting from a checkpoint section.
-    pub(crate) fn snap_load(
-        r: &mut crate::checkpoint::SnapReader<'_>,
-    ) -> optum_types::Result<ChurnStats> {
-        let mut churn = ChurnStats {
-            crashes: r.get_u64()?,
-            drains: r.get_u64()?,
-            degradations: r.get_u64()?,
-            pod_kills: r.get_u64()?,
-            down_node_ticks: r.get_u64()?,
-            stale_rejections: r.get_u64()?,
-            ..ChurnStats::default()
-        };
-        let n = r.get_len()?;
-        if n != churn.per_class.len() {
-            return Err(optum_types::Error::InvalidData(format!(
-                "snapshot corrupt: {n} churn classes, expected {}",
-                churn.per_class.len()
-            )));
-        }
-        for c in churn.per_class.iter_mut() {
-            c.evictions = r.get_u64()?;
-            c.rescheduled = r.get_u64()?;
-            c.resched_ticks = r.get_u64()?;
-            c.failed = r.get_u64()?;
-        }
-        Ok(churn)
-    }
 }
+
+crate::snap_fields!(ChurnStats {
+    crashes,
+    drains,
+    degradations,
+    pod_kills,
+    down_node_ticks,
+    stale_rejections,
+    per_class
+});
 
 /// Admission accounting for one SLO class under overload protection.
 ///
@@ -497,7 +413,10 @@ impl ClassOverload {
     /// The conservation law: every arrival is in exactly one of
     /// `admitted`, `shed`, `throttled_end` or `disconnected`.
     pub fn conserved(&self) -> bool {
-        self.admitted + self.shed + self.throttled_end + self.disconnected == self.arrivals
+        [self.shed, self.throttled_end, self.disconnected]
+            .into_iter()
+            .try_fold(self.admitted, u64::checked_add)
+            == Some(self.arrivals)
     }
 
     /// Denied-service rate: the fraction of this class's arrivals the
@@ -512,6 +431,16 @@ impl ClassOverload {
         (self.shed + self.throttled_end) as f64 / self.arrivals as f64
     }
 }
+
+crate::snap_fields!(ClassOverload {
+    arrivals,
+    admitted,
+    shed,
+    requeued,
+    throttled_end,
+    max_depth,
+    disconnected
+});
 
 /// Overload-protection accounting for one run: the admission
 /// controller's per-class ledger plus decision-deadline pressure.
@@ -552,53 +481,14 @@ impl OverloadStats {
     pub fn total_disconnected(&self) -> u64 {
         self.per_class.iter().map(|c| c.disconnected).sum()
     }
-
-    /// Serializes the accounting for a checkpoint.
-    pub(crate) fn snap_save(&self, w: &mut crate::checkpoint::SnapWriter) {
-        w.put_u64(self.max_depth);
-        w.put_u64(self.throttled_peak);
-        w.put_u64(self.budget_exhausted_rounds);
-        w.put_u64(self.per_class.len() as u64);
-        for c in &self.per_class {
-            w.put_u64(c.arrivals);
-            w.put_u64(c.admitted);
-            w.put_u64(c.shed);
-            w.put_u64(c.requeued);
-            w.put_u64(c.throttled_end);
-            w.put_u64(c.max_depth);
-            w.put_u64(c.disconnected);
-        }
-    }
-
-    /// Restores the accounting from a checkpoint section.
-    pub(crate) fn snap_load(
-        r: &mut crate::checkpoint::SnapReader<'_>,
-    ) -> optum_types::Result<OverloadStats> {
-        let mut overload = OverloadStats {
-            max_depth: r.get_u64()?,
-            throttled_peak: r.get_u64()?,
-            budget_exhausted_rounds: r.get_u64()?,
-            ..OverloadStats::default()
-        };
-        let n = r.get_len()?;
-        if n != overload.per_class.len() {
-            return Err(optum_types::Error::InvalidData(format!(
-                "snapshot corrupt: {n} overload classes, expected {}",
-                overload.per_class.len()
-            )));
-        }
-        for c in overload.per_class.iter_mut() {
-            c.arrivals = r.get_u64()?;
-            c.admitted = r.get_u64()?;
-            c.shed = r.get_u64()?;
-            c.requeued = r.get_u64()?;
-            c.throttled_end = r.get_u64()?;
-            c.max_depth = r.get_u64()?;
-            c.disconnected = r.get_u64()?;
-        }
-        Ok(overload)
-    }
 }
+
+crate::snap_fields!(OverloadStats {
+    max_depth,
+    throttled_peak,
+    budget_exhausted_rounds,
+    per_class
+});
 
 /// Everything a simulation run produces.
 pub struct SimResult {
@@ -762,6 +652,31 @@ mod tests {
         assert_eq!(o.wait_seconds(), 120.0);
         assert!(o.scheduled());
         assert!((o.inflation().unwrap() - 0.72).abs() < 1e-12);
+    }
+
+    /// A preemption or eviction count above `u32::MAX` is refused, not
+    /// truncated into a plausible count.
+    #[test]
+    fn outcome_counts_are_range_checked() {
+        use crate::checkpoint::{SnapPart, SnapReader, SnapWriter};
+        for field in 0..2 {
+            let mut o = outcome();
+            let marker = 0xabcd_u32;
+            *[&mut o.preemptions, &mut o.evictions][field] = marker;
+            let mut w = SnapWriter::new();
+            o.snap_part(&mut w);
+            let mut bytes = w.into_bytes();
+            let at = bytes
+                .chunks(8)
+                .position(|c| c == (marker as u64).to_le_bytes())
+                .unwrap()
+                * 8;
+            let mut back = outcome();
+            back.unsnap_part(&mut SnapReader::new(&bytes)).unwrap();
+            assert_eq!(back, o);
+            bytes[at + 4] = 1; // the word is now 2^32 + marker
+            assert!(back.unsnap_part(&mut SnapReader::new(&bytes)).is_err());
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! scheduler's profilers consume it.
 
 use optum_predictors::ProfileSource;
-use optum_types::{AppId, Resources};
+use optum_types::{AppId, Error, Resources, Result};
+
+use crate::checkpoint::{Snap, SnapReader, SnapWriter};
 
 /// One PSI training sample for a latency-sensitive application
 /// (the inputs and output of Eq. 1).
@@ -27,6 +29,16 @@ pub struct PsiSample {
     /// Observed CPU PSI (60-second window), the learning target.
     pub psi: f64,
 }
+
+crate::snap_fields!(PsiSample {
+    app,
+    pod_cpu_util,
+    pod_mem_util,
+    host_cpu_util,
+    host_mem_util,
+    qps_norm,
+    psi
+});
 
 impl PsiSample {
     /// The feature vector in the order the profiler trains on.
@@ -64,6 +76,15 @@ pub struct CtSample {
     /// zero, where MAPE degenerates.)
     pub ct_norm: f64,
 }
+
+crate::snap_fields!(CtSample {
+    app,
+    max_pod_cpu_util,
+    max_pod_mem_util,
+    max_host_cpu_util,
+    max_host_mem_util,
+    ct_norm
+});
 
 impl CtSample {
     /// The feature vector in the order the profiler trains on.
@@ -161,32 +182,24 @@ impl EroTable {
     pub fn observed_pairs(&self) -> usize {
         self.vals.iter().filter(|v| !v.is_nan()).count()
     }
+}
 
-    /// Serializes the table for a checkpoint (NaN "unobserved" markers
-    /// round-trip bit-exactly through the snapshot's `f64::to_bits`
-    /// encoding).
-    pub(crate) fn snap_save(&self, w: &mut crate::checkpoint::SnapWriter) {
-        w.put_u64(self.n as u64);
-        w.put_u64(self.vals.len() as u64);
-        for &v in &self.vals {
-            w.put_f64(v);
-        }
+/// The app count, then the cells (NaN "unobserved" markers round-trip
+/// bit-exactly). Hand-written for the check that the cells are `n²`.
+impl Snap for EroTable {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.n.snap(w);
+        self.vals.snap(w);
     }
 
-    /// Restores a table from a checkpoint section.
-    pub(crate) fn snap_load(
-        r: &mut crate::checkpoint::SnapReader<'_>,
-    ) -> optum_types::Result<EroTable> {
-        let n = r.get_len()?;
-        let len = r.get_len()?;
-        if len != n * n {
-            return Err(optum_types::Error::InvalidData(format!(
-                "snapshot corrupt: ERO table for {n} apps has {len} cells"
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<EroTable> {
+        let n = usize::unsnap(r)?;
+        let vals = Vec::unsnap(r)?;
+        if n.checked_mul(n) != Some(vals.len()) {
+            return Err(Error::InvalidData(format!(
+                "snapshot corrupt: ERO table for {n} apps has {} cells",
+                vals.len()
             )));
-        }
-        let mut vals = Vec::with_capacity(len);
-        for _ in 0..len {
-            vals.push(r.get_f64()?);
         }
         Ok(EroTable { n, vals })
     }
@@ -410,31 +423,29 @@ impl TripleEroTable {
     pub fn observed(&self) -> usize {
         self.vals.len()
     }
+}
 
-    /// Serializes the table for a checkpoint. Entries are written in
-    /// key order so identical tables always produce identical bytes
-    /// (hash-map iteration order is not deterministic).
-    pub(crate) fn snap_save(&self, w: &mut crate::checkpoint::SnapWriter) {
+/// The entries as a `(key, value)` sequence in key order, so identical
+/// tables always produce identical bytes (hash-map iteration order is
+/// not deterministic). Hand-written for that sort, and for refusing
+/// keys out of order on the way back.
+impl Snap for TripleEroTable {
+    fn snap(&self, w: &mut SnapWriter) {
         let mut entries: Vec<(u64, f64)> = self.vals.iter().map(|(&k, &v)| (k, v)).collect();
         entries.sort_unstable_by_key(|&(k, _)| k);
-        w.put_u64(entries.len() as u64);
-        for (k, v) in entries {
-            w.put_u64(k);
-            w.put_f64(v);
-        }
+        entries.snap(w);
     }
 
-    /// Restores a table from a checkpoint section.
-    pub(crate) fn snap_load(
-        r: &mut crate::checkpoint::SnapReader<'_>,
-    ) -> optum_types::Result<TripleEroTable> {
-        let n = r.get_len()?;
-        let mut vals = std::collections::HashMap::with_capacity(n);
-        for _ in 0..n {
-            let k = r.get_u64()?;
-            vals.insert(k, r.get_f64()?);
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<TripleEroTable> {
+        let entries = Vec::<(u64, f64)>::unsnap(r)?;
+        if entries.windows(2).any(|e| e[0].0 >= e[1].0) {
+            return Err(Error::InvalidData(
+                "snapshot corrupt: triple ERO keys out of order".into(),
+            ));
         }
-        Ok(TripleEroTable { vals })
+        Ok(TripleEroTable {
+            vals: entries.into_iter().collect(),
+        })
     }
 }
 
