@@ -20,24 +20,27 @@ fn exchange(c: &mut Criterion) {
     for shards in [4usize, 16, 64] {
         group.bench_function(BenchmarkId::new("delivery_order", shards), |b| {
             let mut tick = 0u64;
+            let mut order = Vec::new();
             b.iter(|| {
                 tick += 1;
-                std::hint::black_box(delivery_order(42, tick, shards))
+                delivery_order(42, tick, shards, &mut order);
+                std::hint::black_box(&order);
             });
         });
     }
 
     for shards in [4usize, 16] {
-        // One round's worth of proposals: 4096 requests from each of
-        // `shards` outboxes, folded to a winner per request.
-        let outboxes: Vec<Vec<Option<Proposal>>> = (0..shards)
+        // One round's worth of proposals: sparse `(request, proposal)`
+        // pairs for 4096 requests from each of `shards` outboxes,
+        // folded to a winner per request.
+        let outboxes: Vec<Vec<(u32, Proposal)>> = (0..shards)
             .map(|s| {
                 (0..4096)
+                    .filter(|i| i % 7 != 0)
                     .map(|i| {
-                        (i % 7 != 0).then_some(Proposal {
-                            score: ((i * 31 + s * 17) % 1000) as f64 / 1000.0,
-                            node: (i * shards + s) as u32,
-                        })
+                        let score = ((i * 31 + s * 17) % 1000) as f64 / 1000.0;
+                        let node = (i * shards + s) as u32;
+                        (i as u32, Proposal { score, node })
                     })
                     .collect()
             })
@@ -46,8 +49,9 @@ fn exchange(c: &mut Criterion) {
             b.iter(|| {
                 let mut winners: Vec<Option<Proposal>> = vec![None; 4096];
                 for ob in &outboxes {
-                    for (w, p) in winners.iter_mut().zip(ob) {
-                        *w = Proposal::merge(*w, *p);
+                    for &(i, p) in ob {
+                        let w = &mut winners[i as usize];
+                        *w = Proposal::merge(*w, Some(p));
                     }
                 }
                 std::hint::black_box(winners)

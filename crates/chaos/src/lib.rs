@@ -246,13 +246,16 @@ pub fn generate_plan(cfg: &ChaosConfig) -> Vec<FaultEvent> {
 /// Routes a canonical fault plan to the shards of a
 /// [`ShardLayout`](optum_types::ShardLayout): each shard receives the
 /// subsequence of events targeting nodes it owns, preserving the
-/// global [`FaultEvent::order_key`] order within every shard. The
-/// concatenation of the routed plans is a permutation of the input;
-/// routing a single-shard layout is the identity.
+/// global [`FaultEvent::order_key`] order within every shard. Events
+/// on a node outside the fleet are dropped, as the legacy engine skips
+/// them; the concatenation of the routed plans is a permutation of the
+/// rest, and routing a single-shard layout keeps every in-fleet event.
 pub fn route_plan(layout: &optum_types::ShardLayout, plan: &[FaultEvent]) -> Vec<Vec<FaultEvent>> {
     let mut routed: Vec<Vec<FaultEvent>> = vec![Vec::new(); layout.shard_count()];
     for ev in plan {
-        routed[layout.shard_of(ev.node)].push(*ev);
+        if let Some(s) = layout.shard_of(ev.node) {
+            routed[s].push(*ev);
+        }
     }
     routed
 }
@@ -283,7 +286,7 @@ mod tests {
         // Each shard only sees its own nodes, in global order.
         for (s, events) in routed.iter().enumerate() {
             for ev in events {
-                assert_eq!(layout.shard_of(ev.node), s);
+                assert_eq!(layout.shard_of(ev.node), Some(s));
             }
             assert!(events
                 .windows(2)
@@ -296,6 +299,14 @@ mod tests {
         let single = route_plan(&optum_types::ShardLayout::single(24), &plan);
         assert_eq!(single.len(), 1);
         assert_eq!(single[0], plan);
+        // An event outside the fleet reaches no shard.
+        let mut stray = plan.clone();
+        stray.push(FaultEvent {
+            at: Tick(1),
+            node: NodeId(24),
+            kind: FaultKind::Crash,
+        });
+        assert_eq!(route_plan(&layout, &stray), routed);
     }
 
     #[test]

@@ -212,7 +212,11 @@ fn main() {
                 if trace_summary {
                     eprintln!("# trace summary for {id}:");
                     eprint!("{}", optum_obs::render_summary(&snap));
-                    if let Some(table) = optum_sim::physics_stage_table(&snap) {
+                    let tables = [
+                        optum_sim::physics_stage_table(&snap),
+                        optum_shard::tick_stage_table(&snap),
+                    ];
+                    for table in tables.into_iter().flatten() {
                         eprint!("\n{table}");
                     }
                 }

@@ -143,7 +143,12 @@ pub fn overload_grid(
     caps: &[Option<usize>],
 ) -> Result<Figure> {
     let arms = overload_results(runner, intensities, caps)?;
+    Ok(overload_figure(&arms))
+}
 
+/// Renders the `overload` figure from the arms of a grid, in the order
+/// [`overload_results`] returns them.
+pub fn overload_figure(arms: &[OverloadArm]) -> Figure {
     let mut fig = Figure::new(
         "overload",
         "Overload protection under arrival storms (bounded queues, class-aware shedding, decision deadlines)",
@@ -165,7 +170,7 @@ pub fn overload_grid(
             "budget_exhausted_rounds",
         ],
     );
-    for arm in &arms {
+    for arm in arms {
         let r = &arm.result;
         let o = &r.overload;
         let arrivals: u64 = o.per_class.iter().map(|c| c.arrivals).sum();
@@ -199,7 +204,7 @@ pub fn overload_grid(
             "p99_wait_ticks",
         ],
     );
-    for arm in &arms {
+    for arm in arms {
         let r = &arm.result;
         for &slo in &[SloClass::Lsr, SloClass::Ls, SloClass::Be] {
             let c = r.overload.class(slo);
@@ -239,7 +244,7 @@ pub fn overload_grid(
         }
     }
     fig.push(pc);
-    Ok(fig)
+    fig
 }
 
 /// 99th-percentile queue-waiting time (ticks) of one class's arrivals.

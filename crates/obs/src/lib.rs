@@ -60,7 +60,7 @@ pub use registry::{
     HIST_BUCKETS,
 };
 pub use span::{SpanGuard, StageClock};
-pub use summary::render_summary;
+pub use summary::{render_summary, stage_table};
 
 /// Opens a timing span; bind the guard (`let _g = span!("name");`) —
 /// it records on drop.
@@ -194,6 +194,10 @@ mod tests {
         // Laps open no child span: the stages stay inside the self time.
         assert_eq!(span.self_ns, span.total_ns);
         assert!(a + b <= span.total_ns);
+        let stages = ["t.staged.a_ns", "t.staged.b_ns"];
+        let table = stage_table(&snap, "t.staged", &stages, ("call", span.count)).unwrap();
+        assert!(table.contains("ns/call") && table.contains("t.staged.b_ns"));
+        assert_eq!(stage_table(&snap, "t.missing", &stages, ("call", 1)), None);
     }
 
     #[test]

@@ -11,6 +11,33 @@ fn us(ns: u64) -> f64 {
     ns as f64 / 1.0e3
 }
 
+/// Renders the stage budget of one span whose body is split by a
+/// [`StageClock`](crate::StageClock): each lap counter's total, its
+/// share of the span's total time and its cost per unit, for `per` =
+/// (unit name, units in the run). `None` when the snapshot holds no
+/// such span.
+pub fn stage_table(snap: &Snapshot, span: &str, laps: &[&str], per: (&str, u64)) -> Option<String> {
+    let total_ns = snap.span(span)?.total_ns.max(1) as f64;
+    let ((unit, units), head) = (per, format!("{span} stage"));
+    let mut out = format!(
+        "{head:<28} {:>11} {:>7} {:>12}\n",
+        "total_ms",
+        "share",
+        format!("ns/{unit}")
+    );
+    let total = (format!("{span} (span total)"), total_ns);
+    let rows = laps
+        .iter()
+        .map(|&l| (l.to_string(), snap.counter(l).unwrap_or(0) as f64));
+    for (name, ns) in rows.chain([total]) {
+        let (ms, share, per_unit) = (ns / 1.0e6, 100.0 * ns / total_ns, ns / units.max(1) as f64);
+        out.push_str(&format!(
+            "{name:<28} {ms:>11.3} {share:>6.1}% {per_unit:>12.2}\n"
+        ));
+    }
+    Some(out)
+}
+
 /// Renders the snapshot as an aligned text table: spans sorted by
 /// total time (descending), then counters, gauges, and histograms.
 pub fn render_summary(snap: &Snapshot) -> String {

@@ -56,11 +56,17 @@ impl RcLike {
                 return None;
             }
             let cap = n.spec.capacity;
+            let cpu_room = n.requested.cpu + request.cpu <= self.overcommit_cap * cap.cpu;
+            let mem_room = n.requested.mem + request.mem <= self.overcommit_cap * cap.mem;
+            // A host over the commit cap on both resources fails either
+            // way; skip its p99 sum (a full walk of its pods), which is
+            // most of a decision on a saturated cluster.
+            if !cpu_room && !mem_room {
+                return Some((false, false));
+            }
             let pred = self.p99_sum(n, view, pod);
-            let cpu_ok = pred.cpu <= self.usage_cap * cap.cpu
-                && n.requested.cpu + request.cpu <= self.overcommit_cap * cap.cpu;
-            let mem_ok = pred.mem <= self.usage_cap * cap.mem
-                && n.requested.mem + request.mem <= self.overcommit_cap * cap.mem;
+            let cpu_ok = pred.cpu <= self.usage_cap * cap.cpu && cpu_room;
+            let mem_ok = pred.mem <= self.usage_cap * cap.mem && mem_room;
             Some((cpu_ok, mem_ok))
         };
         let score = |n: &NodeRuntime| {

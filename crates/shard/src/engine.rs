@@ -9,10 +9,12 @@
 //! 1. **Admission** (coordinator, serial): throttle release, arrivals,
 //!    queue-cap shedding — [`optum_sim::Admission`], the same
 //!    controller the legacy engine runs (net `admitted`, BE high-water
-//!    throttle).
+//!    throttle). Each request's candidates are drawn and routed to
+//!    their owning shards.
 //! 2. **Shard step** (parallel over the `optum-parallel` pool): each
-//!    shard pops due completions, applies due faults, and scores its
-//!    slice of every request's global candidate set.
+//!    shard pops due completions, applies due faults, and scores the
+//!    candidates routed to it, proposing only for requests it can
+//!    place.
 //! 3. **Exchange** (coordinator): outboxes drain in the seeded
 //!    delivery order; completions/evictions apply (commutative),
 //!    proposals fold to the global argmin per request.
@@ -27,26 +29,46 @@
 //!
 //! Ticks on which nothing can change — no arrival, no completion, no
 //! fault due, and the last round made no progress — are skipped in
-//! O(1) (see [`ScaleResult::skipped_ticks`]).
+//! O(1) (see [`ScaleResult::skipped_ticks`]). A tick allocates nothing
+//! per request, and times each phase ([`tick_stage_table`]).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use optum_chaos::route_plan;
 use optum_parallel::parallel_map_threads;
 use optum_sim::checkpoint::{fnv1a_fold, FNV1A_INIT};
 use optum_sim::{Admission, Admit, ClassOverload};
 use optum_trace::ScalePod;
-use optum_types::{sort_fault_plan, FaultEvent, FaultKind, NodeId, ShardLayout, SloClass};
+use optum_types::{
+    sort_fault_plan, FaultEvent, FaultKind, NodeId, ShardLayout, SloClass, SplitMix64, SLAB_NODES,
+};
 
 use crate::exchange::{delivery_order, Proposal};
-use crate::sched::{score_candidate, PodFootprint, ScoreParams};
+use crate::sched::{best_proposals, score_candidate, PodFootprint, ScoreParams};
 use crate::soa::{NodeTable, Resident, SlabAccumulator, STATE_DOWN, STATE_DRAINING, STATE_UP};
 
 /// RNG channel tag of the per-(pod, tick) candidate draw.
 const CANDIDATE_CHANNEL: u64 = 0xCA4D_1DA7;
+
+/// Nanosecond counters of the stages of the `shard.tick` span, in phase
+/// order: admission with the round's candidate draw, shard step,
+/// exchange, commit, series sample (see [`optum_obs::StageClock`]).
+const TICK_STAGES: [&str; 5] = [
+    "shard.tick.admit_ns",
+    "shard.tick.step_ns",
+    "shard.tick.exchange_ns",
+    "shard.tick.commit_ns",
+    "shard.tick.sample_ns",
+];
+
+/// Renders the stage budget of the `shard.tick` span per tick (see
+/// [`optum_obs::stage_table`]). `None` when the snapshot holds no tick.
+pub fn tick_stage_table(snap: &optum_obs::Snapshot) -> Option<String> {
+    let ticks = snap.span("shard.tick")?.count;
+    optum_obs::stage_table(snap, "shard.tick", &TICK_STAGES, ("tick", ticks))
+}
 
 /// Sentinel for "never happened" tick fields.
 pub const NEVER: u64 = u64::MAX;
@@ -221,38 +243,76 @@ impl ScaleResult {
 struct Request {
     pod: u32,
     fp: PodFootprint,
-    candidates: Vec<u32>,
 }
 
-/// A shard's per-tick outbox.
+/// The current round, routed to the shards: scratch reused across ticks.
+#[derive(Default)]
+struct Round {
+    /// Owning shard of every slab. Layouts are slab-aligned, so no slab
+    /// straddles two shards and this lookup is exact.
+    slab_owner: Vec<usize>,
+    requests: Vec<Request>,
+    /// Per shard: the `(request index, global node)` candidates it
+    /// owns, grouped by request in draw order.
+    routed: Vec<Vec<(u32, u32)>>,
+    /// The exchange's delivery order.
+    order: Vec<usize>,
+    /// Global argmin per request, folded by the exchange.
+    winners: Vec<Option<Proposal>>,
+}
+
+impl Round {
+    /// Draws the pod's global candidate set for this tick — a pure
+    /// function of `(seed, pod, tick)`, independent of shards and
+    /// threads — straight into the owning shards' lists.
+    fn make_request(&mut self, pod: u32, p: &ScalePod, cfg: &ScaleSimConfig, t: u64) {
+        let i = self.requests.len() as u32;
+        let k = cfg.candidates_per_pod.clamp(1, cfg.hosts);
+        let mut rng = SplitMix64::stream(cfg.seed ^ CANDIDATE_CHANNEL, pod as u64, t);
+        for _ in 0..k {
+            let node = (rng.next_u64() % cfg.hosts as u64) as u32;
+            self.routed[self.slab_owner[node as usize / SLAB_NODES]].push((i, node));
+        }
+        self.requests.push(Request {
+            pod,
+            fp: PodFootprint {
+                cpu_req: p.cpu_req,
+                mem_req: p.mem_req,
+                cpu_use: p.cpu_use,
+                mem_use: p.mem_use,
+            },
+        });
+    }
+}
+
+/// A shard's per-tick outbox (cleared, not reallocated).
+#[derive(Default)]
 struct Outbox {
     completions: Vec<u32>,
     evictions: Vec<u32>,
-    proposals: Vec<Option<Proposal>>,
+    /// `(request index, proposal)` for the requests this shard can place.
+    proposals: Vec<(u32, Proposal)>,
 }
 
 /// One shard: its node table, completion queue, and fault-plan slice.
 struct ShardState {
-    /// Owned global node range `[start, end)`.
-    start: u32,
-    end: u32,
     nodes: NodeTable,
     faults: Vec<FaultEvent>,
     fault_cursor: usize,
     /// Min-heap of (end tick, pod, local node). Stale entries (evicted
     /// pods) are invalidated lazily by the resident `end` match.
     completions: BinaryHeap<Reverse<(u64, u32, u32)>>,
+    out: Outbox,
 }
 
 impl ShardState {
     fn new(range: (u32, u32), faults: Vec<FaultEvent>) -> ShardState {
         ShardState {
-            start: range.0,
-            end: range.1,
             nodes: NodeTable::new(range.0, range.1),
             faults,
             fault_cursor: 0,
             completions: BinaryHeap::new(),
+            out: Outbox::default(),
         }
     }
 
@@ -268,20 +328,19 @@ impl ShardState {
 
     /// Evicts every resident of a node (deterministic order: last slot
     /// first, matching the swap-remove state evolution).
-    fn evict_all(&mut self, local: usize, out: &mut Outbox) {
+    fn evict_all(&mut self, local: usize) {
         while let Some(slot) = self.nodes.residents[local].len().checked_sub(1) {
             let r = self.nodes.remove_pod(local, slot);
-            out.evictions.push(r.pod);
+            self.out.evictions.push(r.pod);
         }
     }
 
-    /// One shard tick: completions, faults, then candidate scoring.
-    fn step(&mut self, t: u64, requests: &[Request], params: &ScoreParams) -> Outbox {
-        let mut out = Outbox {
-            completions: Vec::new(),
-            evictions: Vec::new(),
-            proposals: vec![None; requests.len()],
-        };
+    /// One shard tick into [`ShardState::out`]: completions, faults,
+    /// then the scoring of the candidates `routed` to this shard.
+    fn step(&mut self, t: u64, requests: &[Request], routed: &[(u32, u32)], params: &ScoreParams) {
+        self.out.completions.clear();
+        self.out.evictions.clear();
+        self.out.proposals.clear();
         while let Some(&Reverse((end, pod, local))) = self.completions.peek() {
             if end > t {
                 break;
@@ -293,7 +352,7 @@ impl ShardState {
                 .position(|r| r.pod == pod && r.end == end)
             {
                 self.nodes.remove_pod(local, slot);
-                out.completions.push(pod);
+                self.out.completions.push(pod);
             }
         }
         while self.fault_cursor < self.faults.len() && self.faults[self.fault_cursor].at.0 <= t {
@@ -303,7 +362,7 @@ impl ShardState {
             match ev.kind {
                 FaultKind::Crash => {
                     self.nodes.set_state(local, STATE_DOWN);
-                    self.evict_all(local, &mut out);
+                    self.evict_all(local);
                 }
                 FaultKind::Recover => {
                     if self.nodes.state[local] == STATE_DOWN {
@@ -314,7 +373,7 @@ impl ShardState {
                     if self.nodes.state[local] == STATE_UP {
                         self.nodes.set_state(local, STATE_DRAINING);
                     }
-                    self.evict_all(local, &mut out);
+                    self.evict_all(local);
                 }
                 FaultKind::DrainEnd => {
                     if self.nodes.state[local] == STATE_DRAINING {
@@ -328,25 +387,13 @@ impl ShardState {
                     if n > 0 {
                         let slot = (selector % n as u64) as usize;
                         let r = self.nodes.remove_pod(local, slot);
-                        out.evictions.push(r.pod);
+                        self.out.evictions.push(r.pod);
                     }
                 }
             }
         }
-        for (i, req) in requests.iter().enumerate() {
-            let mut best: Option<Proposal> = None;
-            for &cand in &req.candidates {
-                if cand < self.start || cand >= self.end {
-                    continue;
-                }
-                let local = self.nodes.local(cand);
-                if let Some(score) = score_candidate(&self.nodes, local, &req.fp, params) {
-                    best = Proposal::merge(best, Some(Proposal { score, node: cand }));
-                }
-            }
-            out.proposals[i] = best;
-        }
-        out
+        let fp = |i: u32| &requests[i as usize].fp;
+        best_proposals(&self.nodes, routed, fp, params, &mut self.out.proposals);
     }
 }
 
@@ -362,9 +409,9 @@ fn pod_meta(pods: &[ScalePod]) -> impl Fn(u32) -> (SloClass, u64) + '_ {
 /// The sharded scale engine (see module docs for the tick phases).
 pub struct ScaleEngine<'p> {
     cfg: ScaleSimConfig,
-    layout: ShardLayout,
     pods: &'p [ScalePod],
     cells: Vec<Mutex<ShardState>>,
+    round: Round,
     admission: Admission<u32>,
     pod_state: Vec<u8>,
     outcomes: Vec<ScaleOutcome>,
@@ -379,9 +426,9 @@ pub struct ScaleEngine<'p> {
 }
 
 impl<'p> ScaleEngine<'p> {
-    /// Builds the engine: computes the slab-aligned layout, routes the
-    /// (canonically sorted) fault plan per shard, and sizes the
-    /// coordinator state to the population.
+    /// Builds the engine: computes the slab-aligned layout and its slab
+    /// owner table, routes the (canonically sorted) fault plan per
+    /// shard, and sizes the coordinator state to the population.
     pub fn new(pods: &'p [ScalePod], cfg: ScaleSimConfig) -> ScaleEngine<'p> {
         assert!(cfg.hosts > 0, "scale engine needs at least one host");
         let layout = ShardLayout::contiguous(cfg.hosts, cfg.shards);
@@ -394,10 +441,19 @@ impl<'p> ScaleEngine<'p> {
             .zip(routed)
             .map(|(&range, faults)| Mutex::new(ShardState::new(range, faults)))
             .collect();
+        let slab_owner = (0..layout.slab_count())
+            .map(|slab| layout.shard_of(NodeId((slab * SLAB_NODES) as u32)))
+            .collect::<Option<_>>()
+            .expect("a layout tiles the fleet");
+        let round = Round {
+            slab_owner,
+            routed: vec![Vec::new(); layout.shard_count()],
+            ..Round::default()
+        };
         let n = pods.len();
         ScaleEngine {
-            layout,
             cells,
+            round,
             pods,
             admission: Admission::new(cfg.queue_cap),
             pod_state: vec![PS_WAITING; n],
@@ -431,7 +487,7 @@ impl<'p> ScaleEngine<'p> {
                 nt = nt.min(p.arrival);
             }
             for cell in self.cells.iter_mut() {
-                if let Some(e) = cell.get_mut().next_event() {
+                if let Some(e) = cell.get_mut().expect("shard cell poisoned").next_event() {
                     nt = nt.min(e);
                 }
             }
@@ -442,6 +498,8 @@ impl<'p> ScaleEngine<'p> {
 
     fn step_tick(&mut self, t: u64) -> bool {
         let _tick = optum_obs::span!("shard.tick");
+        let mut stage = optum_obs::StageClock::start();
+        let [admit_ns, step_ns, exchange_ns, commit_ns, sample_ns] = TICK_STAGES;
         let meta = pod_meta(self.pods);
         self.admission.release_throttled(&meta);
         while let Some(p) = self.pods.get(self.next_arrival) {
@@ -463,31 +521,41 @@ impl<'p> ScaleEngine<'p> {
             self.admission.record_peaks();
         }
         let queue = self.admission.sorted(&meta);
-        let round: Vec<u32> = queue[..self.cfg.schedule_budget_per_tick.min(queue.len())].to_vec();
-        let requests: Vec<Request> = round.iter().map(|&p| self.make_request(p, t)).collect();
+        let round = &mut self.round;
+        round.requests.clear();
+        round.routed.iter_mut().for_each(Vec::clear);
+        for &pod in &queue[..self.cfg.schedule_budget_per_tick.min(queue.len())] {
+            round.make_request(pod, &self.pods[pod as usize], &self.cfg, t);
+        }
+        stage.lap(admit_ns);
 
         let params = self.cfg.score;
-        let outboxes: Vec<Outbox> = if self.cells.len() == 1 || self.cfg.threads == 1 {
+        let (requests, routed) = (&round.requests, &round.routed);
+        if self.cells.len() == 1 || self.cfg.threads == 1 {
             // Serial fast path: no per-tick thread spawn.
-            self.cells
-                .iter_mut()
-                .map(|cell| cell.get_mut().step(t, &requests, &params))
-                .collect()
+            for (cell, routed) in self.cells.iter_mut().zip(routed) {
+                cell.get_mut()
+                    .expect("shard cell poisoned")
+                    .step(t, requests, routed, &params);
+            }
         } else {
-            parallel_map_threads(self.cfg.threads, &self.cells, |_, cell| {
-                cell.lock().step(t, &requests, &params)
-            })
-        };
+            parallel_map_threads(self.cfg.threads, &self.cells, |s, cell| {
+                let mut st = cell.lock().expect("shard cell poisoned");
+                st.step(t, requests, &routed[s], &params);
+            });
+        }
+        stage.lap(step_ns);
 
         // Exchange: drain outboxes in the seeded delivery order.
-        let order = delivery_order(self.cfg.seed, t, outboxes.len());
-        let mut winners: Vec<Option<Proposal>> = vec![None; requests.len()];
+        delivery_order(self.cfg.seed, t, self.cells.len(), &mut round.order);
+        let winners = &mut round.winners;
+        winners.clear();
+        winners.resize(round.requests.len(), None);
         let mut requeued = 0usize;
-        for &s in &order {
-            let ob = &outboxes[s];
-            self.messages += (ob.completions.len()
-                + ob.evictions.len()
-                + ob.proposals.iter().flatten().count()) as u64;
+        for &s in &round.order {
+            let ob = &self.cells[s].get_mut().expect("shard cell poisoned").out;
+            self.messages +=
+                (ob.completions.len() + ob.evictions.len() + ob.proposals.len()) as u64;
             for &pod in &ob.completions {
                 self.outcomes[pod as usize].completed_at = t;
                 self.pod_state[pod as usize] = PS_DONE;
@@ -503,18 +571,20 @@ impl<'p> ScaleEngine<'p> {
                 requeued += 1;
                 optum_obs::counter!("shard.requeues");
             }
-            for (i, p) in ob.proposals.iter().enumerate() {
-                winners[i] = Proposal::merge(winners[i], *p);
+            for &(i, p) in &ob.proposals {
+                let w = &mut winners[i as usize];
+                *w = Proposal::merge(*w, Some(p));
             }
         }
+        stage.lap(exchange_ns);
 
         // Commit: sequential optimistic validation in request order.
         let mut placed = 0usize;
-        for (i, req) in requests.iter().enumerate() {
+        for (req, &w) in round.requests.iter().zip(&round.winners) {
             let _d = optum_obs::span!("sched.decide");
-            let Some(w) = winners[i] else { continue };
-            let sidx = self.layout.shard_of(NodeId(w.node));
-            let st = self.cells[sidx].get_mut();
+            let Some(w) = w else { continue };
+            let cell = &mut self.cells[round.slab_owner[w.node as usize / SLAB_NODES]];
+            let st = cell.get_mut().expect("shard cell poisoned");
             let local = st.nodes.local(w.node);
             // Re-validate: an earlier commit this round (or a fault
             // this tick) may have consumed the headroom.
@@ -552,7 +622,9 @@ impl<'p> ScaleEngine<'p> {
             self.admission
                 .remove_placed(|p| ps[p as usize] == PS_RUNNING, &meta);
         }
+        stage.lap(commit_ns);
         self.maybe_sample(t);
+        stage.lap(sample_ns);
 
         // Progress: retry next tick only when this round changed the
         // queue or a throttle release is possible; otherwise park
@@ -560,28 +632,6 @@ impl<'p> ScaleEngine<'p> {
         (placed > 0 && !self.admission.pending().is_empty())
             || requeued > 0
             || self.admission.release_due()
-    }
-
-    /// Draws the pod's global candidate set for this tick: a pure
-    /// function of `(seed, pod, tick)`, independent of shards/threads.
-    fn make_request(&self, pod: u32, t: u64) -> Request {
-        let p = &self.pods[pod as usize];
-        let k = self.cfg.candidates_per_pod.clamp(1, self.cfg.hosts);
-        let mut rng =
-            optum_types::SplitMix64::stream(self.cfg.seed ^ CANDIDATE_CHANNEL, pod as u64, t);
-        let candidates = (0..k)
-            .map(|_| (rng.next_u64() % self.cfg.hosts as u64) as u32)
-            .collect();
-        Request {
-            pod,
-            fp: PodFootprint {
-                cpu_req: p.cpu_req,
-                mem_req: p.mem_req,
-                cpu_use: p.cpu_use,
-                mem_use: p.mem_use,
-            },
-            candidates,
-        }
     }
 
     fn maybe_sample(&mut self, t: u64) {
@@ -594,7 +644,7 @@ impl<'p> ScaleEngine<'p> {
         let mut acc = SlabAccumulator::default();
         let mut unavailable = 0u64;
         for cell in self.cells.iter_mut() {
-            let st = cell.get_mut();
+            let st = cell.get_mut().expect("shard cell poisoned");
             st.nodes.fold_slabs(&mut acc);
             unavailable += st.nodes.unavailable as u64;
         }
@@ -667,7 +717,8 @@ mod tests {
     fn shard_count_is_invisible_in_the_result() {
         let pods = population(200, 7);
         let base = run_with(&pods, 200, 1, 1);
-        for shards in [2usize, 3, 4] {
+        // 200 hosts are four slabs: at 8 shards the last four are empty.
+        for shards in [2usize, 3, 4, 8] {
             for threads in [1usize, 4] {
                 let r = run_with(&pods, 200, shards, threads);
                 assert_eq!(
@@ -705,6 +756,22 @@ mod tests {
         assert!(faulty.evictions > 0, "mid-day crash wave must evict");
         assert!(faulty.conservation_holds());
         assert!(faulty.series.iter().any(|s| s.unavailable > 0));
+    }
+
+    #[test]
+    fn faults_outside_the_fleet_are_skipped() {
+        let pods = population(100, 42);
+        let clean = run_with(&pods, 100, 1, 1);
+        for shards in [1usize, 2, 4] {
+            let mut cfg = ScaleSimConfig::new(100, shards, TICKS_PER_DAY);
+            cfg.fault_events.push(FaultEvent {
+                at: Tick(500),
+                node: NodeId(500),
+                kind: FaultKind::Crash,
+            });
+            let r = ScaleEngine::new(&pods, cfg).run();
+            assert_eq!(r.digest(), clean.digest(), "shards={shards}");
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use optum_types::SplitMix64;
 pub const EXCHANGE_CHANNEL: u64 = 0xE8C4_A96E;
 
 /// One shard's placement proposal for one scheduling request.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Proposal {
     /// Candidate score (lower is better).
     pub score: f64,
@@ -50,35 +50,36 @@ impl Proposal {
     }
 }
 
-/// The order in which the coordinator drains `shards` outboxes at tick
-/// `tick`: shards sorted by their seeded jitter key. A pure function
-/// of `(seed, shard, tick)` — independent of thread scheduling, wall
-/// clock, and machine.
-pub fn delivery_order(seed: u64, tick: u64, shards: usize) -> Vec<usize> {
-    let mut keyed: Vec<(u64, usize)> = (0..shards)
-        .map(|s| {
-            let mut rng = SplitMix64::stream(seed ^ EXCHANGE_CHANNEL, s as u64, tick);
-            (rng.next_u64(), s)
-        })
-        .collect();
-    keyed.sort_unstable();
-    keyed.into_iter().map(|(_, s)| s).collect()
+/// Writes into `order` the order in which the coordinator drains
+/// `shards` outboxes at tick `tick`: shards sorted by their seeded
+/// jitter key. A pure function of `(seed, shard, tick)` — independent
+/// of thread scheduling, wall clock, and machine.
+pub fn delivery_order(seed: u64, tick: u64, shards: usize, order: &mut Vec<usize>) {
+    let key = |s: usize| SplitMix64::stream(seed ^ EXCHANGE_CHANNEL, s as u64, tick).next_u64();
+    order.clear();
+    order.extend(0..shards);
+    order.sort_unstable_by_key(|&s| (key(s), s));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn order(seed: u64, tick: u64, shards: usize) -> Vec<usize> {
+        let mut order = vec![7; 3];
+        delivery_order(seed, tick, shards, &mut order);
+        order
+    }
+
     #[test]
     fn delivery_order_is_a_seeded_permutation() {
-        let a = delivery_order(42, 100, 8);
-        let b = delivery_order(42, 100, 8);
-        assert_eq!(a, b);
+        let a = order(42, 100, 8);
+        assert_eq!(a, order(42, 100, 8));
         let mut sorted = a.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..8).collect::<Vec<_>>());
         // Different ticks (almost always) permute differently.
-        let any_different = (0..32).any(|t| delivery_order(42, t, 8) != a);
+        let any_different = (0..32).any(|t| order(42, t, 8) != a);
         assert!(any_different);
     }
 

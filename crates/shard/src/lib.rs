@@ -30,9 +30,13 @@
 //!    order exercises the machinery without being load-bearing.
 //! 3. **Partition-invariant scheduling.** Candidate hosts are drawn by
 //!    a power-of-k-choices sample from `(seed, pod, tick)` over the
-//!    *global* node-id space; each shard scores the candidates it owns
-//!    and the exchange takes the global argmin — exactly the result a
-//!    single shard computes over the same candidates.
+//!    *global* node-id space, and each draw is routed once to the shard
+//!    that owns it (a slab-owner table: layouts are slab-aligned, so
+//!    the lookup is exact). Each shard scores only its routed
+//!    candidates and proposes only for requests it can place; the
+//!    exchange folds the proposals to the global argmin with the
+//!    canonical (score, node) order — exactly the result a single
+//!    shard computes over the same candidates.
 //!
 //! ## Event-driven ticks
 //!
@@ -46,7 +50,9 @@ pub mod exchange;
 pub mod sched;
 pub mod soa;
 
-pub use engine::{ScaleEngine, ScaleOutcome, ScaleResult, ScaleSample, ScaleSimConfig};
+pub use engine::{
+    tick_stage_table, ScaleEngine, ScaleOutcome, ScaleResult, ScaleSample, ScaleSimConfig,
+};
 pub use exchange::{delivery_order, Proposal};
 pub use sched::{score_candidate, ScoreParams};
 pub use soa::NodeTable;

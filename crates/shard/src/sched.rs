@@ -6,10 +6,12 @@
 //! state, with an explicit fit predicate (usage, memory guard,
 //! over-commit request budgets) and a total order for tie-breaking.
 //! The engine draws each pod's candidate set globally (power-of-k
-//! choices over `(seed, pod, tick)`), every shard scores the
-//! candidates it owns, and the exchange takes the global minimum — so
-//! the chosen node is identical whatever the shard count.
+//! choices over `(seed, pod, tick)`) and routes every draw to the shard
+//! that owns it; each shard scores only those ([`best_proposals`]), and
+//! the exchange takes the global minimum — so the chosen node is
+//! identical whatever the shard count.
 
+use crate::exchange::Proposal;
 use crate::soa::NodeTable;
 
 /// Scoring and admission parameters shared by every shard.
@@ -52,37 +54,66 @@ pub struct PodFootprint {
 /// fit, otherwise the post-placement peak utilization (lower is
 /// better — least-loaded alignment). The score is a pure function of
 /// the node's state and the footprint, so every shard computes the
-/// same value for the same node.
+/// same value for the same node. Branch-free: every fit predicate is
+/// evaluated and combined with `&`/`|`; always inlined, since a call
+/// per candidate costs more than the scoring.
+#[inline(always)]
 pub fn score_candidate(
     nodes: &NodeTable,
     local: usize,
     pod: &PodFootprint,
     p: &ScoreParams,
 ) -> Option<f64> {
-    if !nodes.is_schedulable(local) {
-        return None;
-    }
     let cpu_cap = nodes.cpu_cap[local];
     let mem_cap = nodes.mem_cap[local];
     let cpu_after = nodes.cpu_used[local] + pod.cpu_use;
     let mem_after = nodes.mem_used[local] + pod.mem_use;
-    if cpu_after > cpu_cap || mem_after > mem_cap * p.mem_guard {
-        return None;
+    let over = (cpu_after > cpu_cap)
+        | (mem_after > mem_cap * p.mem_guard)
+        | (nodes.cpu_committed[local] + pod.cpu_req > cpu_cap * p.cpu_budget)
+        | (nodes.mem_committed[local] + pod.mem_req > mem_cap * p.mem_budget);
+    let fits = nodes.is_schedulable(local) & !over;
+    fits.then_some((cpu_after / cpu_cap).max(mem_after / mem_cap))
+}
+
+/// One shard's scoring pass: `routed` holds the `(request, global
+/// node)` candidates this shard owns, grouped by request in draw
+/// order. Appends to `out`, for every request with a fitting
+/// candidate, the `(request, proposal)` that folding
+/// [`score_candidate`] through [`Proposal::merge`] in draw order gives,
+/// bit for bit: lowest score, ties to the lower node. The running
+/// argmin is written as selects, and a candidate that does not fit is
+/// never taken.
+pub fn best_proposals<'a>(
+    nodes: &NodeTable,
+    routed: &[(u32, u32)],
+    footprint: impl Fn(u32) -> &'a PodFootprint,
+    p: &ScoreParams,
+    out: &mut Vec<(u32, Proposal)>,
+) {
+    for chunk in routed.chunk_by(|a, b| a.0 == b.0) {
+        let request = chunk[0].0;
+        let fp = footprint(request);
+        let (mut best, mut found) = (Proposal::default(), false);
+        for &(_, node) in chunk {
+            let scored = score_candidate(nodes, nodes.local(node), fp, p);
+            let (fits, score) = (scored.is_some(), scored.unwrap_or_default());
+            let better = (score < best.score) | ((score == best.score) & (node < best.node));
+            let take = fits & (!found | better);
+            best.score = if take { score } else { best.score };
+            best.node = if take { node } else { best.node };
+            found |= fits;
+        }
+        if found {
+            out.push((request, best));
+        }
     }
-    if nodes.cpu_committed[local] + pod.cpu_req > cpu_cap * p.cpu_budget
-        || nodes.mem_committed[local] + pod.mem_req > mem_cap * p.mem_budget
-    {
-        return None;
-    }
-    let cpu_util = cpu_after / cpu_cap;
-    let mem_util = mem_after / mem_cap;
-    Some(cpu_util.max(mem_util))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::soa::{Resident, STATE_DOWN};
+    use crate::soa::{Resident, STATE_DOWN, STATE_DRAINING, STATE_UP};
 
     fn pod(amt: f64) -> PodFootprint {
         PodFootprint {
@@ -144,5 +175,75 @@ mod tests {
             );
         }
         assert!(score_candidate(&t, 3, &pod(0.1), &p).is_none());
+    }
+
+    /// The early-return scorer the branch-free one replaced.
+    fn early_return_score(
+        t: &NodeTable,
+        local: usize,
+        pod: &PodFootprint,
+        p: &ScoreParams,
+    ) -> Option<f64> {
+        if !t.is_schedulable(local) {
+            return None;
+        }
+        let (cpu_cap, mem_cap) = (t.cpu_cap[local], t.mem_cap[local]);
+        let cpu_after = t.cpu_used[local] + pod.cpu_use;
+        let mem_after = t.mem_used[local] + pod.mem_use;
+        if cpu_after > cpu_cap || mem_after > mem_cap * p.mem_guard {
+            return None;
+        }
+        if t.cpu_committed[local] + pod.cpu_req > cpu_cap * p.cpu_budget
+            || t.mem_committed[local] + pod.mem_req > mem_cap * p.mem_budget
+        {
+            return None;
+        }
+        Some((cpu_after / cpu_cap).max(mem_after / mem_cap))
+    }
+
+    #[test]
+    fn branch_free_scorer_answers_as_the_early_return_one() {
+        let mut rng = optum_types::SplitMix64::new(11);
+        // Zero footprints and zero degrade factors included: 0/0 scores.
+        let mut draw = |zero_every: u64| match rng.next_u64() % zero_every {
+            0 => 0.0,
+            _ => rng.next_f64(),
+        };
+        let p = ScoreParams::default();
+        for _ in 0..2000 {
+            let mut t = NodeTable::new(0, 1);
+            t.set_state(
+                0,
+                [STATE_UP, STATE_DRAINING, STATE_DOWN][(draw(3) * 3.0) as usize % 3],
+            );
+            t.set_degrade(0, draw(3));
+            let use_ = draw(4);
+            t.add_pod(
+                0,
+                Resident {
+                    pod: 0,
+                    cpu_use: use_,
+                    mem_use: draw(4),
+                    cpu_req: 2.0 * draw(4),
+                    mem_req: draw(4),
+                    end: 0,
+                },
+            );
+            let fp = PodFootprint {
+                cpu_req: draw(3),
+                mem_req: draw(3),
+                cpu_use: draw(3),
+                mem_use: draw(3),
+            };
+            let bits = |s: Option<f64>| s.map(f64::to_bits);
+            assert_eq!(
+                bits(score_candidate(&t, 0, &fp, &p)),
+                bits(early_return_score(&t, 0, &fp, &p))
+            );
+        }
+        // A zero-capacity node fits a zero footprint, with a 0/0 score.
+        let mut t = NodeTable::new(0, 1);
+        t.set_degrade(0, 0.0);
+        assert!(score_candidate(&t, 0, &pod(0.0), &p).is_some_and(f64::is_nan));
     }
 }

@@ -9,7 +9,7 @@
 //! the floating-point reduction independent of the shard count (see
 //! the crate docs).
 
-use optum_types::{NodeLifecycle, SLAB_NODES};
+use optum_types::SLAB_NODES;
 
 /// Lifecycle codes stored in [`NodeTable::state`].
 pub const STATE_UP: u8 = 0;
@@ -101,24 +101,9 @@ impl NodeTable {
         t
     }
 
-    /// Number of nodes in the table.
-    pub fn len(&self) -> usize {
-        self.cpu_cap.len()
-    }
-
-    /// Whether the table is empty (an empty trailing shard).
-    pub fn is_empty(&self) -> bool {
-        self.cpu_cap.is_empty()
-    }
-
     /// Local index of a global node id owned by this table.
     pub fn local(&self, node: u32) -> usize {
         (node - self.start) as usize
-    }
-
-    /// Global node id of a local index.
-    pub fn global(&self, local: usize) -> u32 {
-        self.start + local as u32
     }
 
     /// Whether the node accepts new placements.
@@ -188,15 +173,6 @@ impl NodeTable {
         self.mem_cap[local] = new_mem;
     }
 
-    /// Maps a lifecycle code back to the shared enum.
-    pub fn lifecycle(&self, local: usize) -> NodeLifecycle {
-        match self.state[local] {
-            STATE_UP => NodeLifecycle::Up,
-            STATE_DRAINING => NodeLifecycle::Draining,
-            _ => NodeLifecycle::Down,
-        }
-    }
-
     /// Folds this shard's slab cells into running cluster sums, in
     /// local (= global, for contiguous layouts) slab order.
     pub fn fold_slabs(&self, acc: &mut SlabAccumulator) {
@@ -241,7 +217,6 @@ mod tests {
     fn add_remove_roundtrips_sums() {
         let mut t = NodeTable::new(128, 128 + 100);
         assert_eq!(t.local(130), 2);
-        assert_eq!(t.global(2), 130);
         t.add_pod(2, resident(7, 0.25));
         t.add_pod(2, resident(8, 0.1));
         assert_eq!(t.residents[2].len(), 2);

@@ -2089,29 +2089,17 @@ impl<'w, S: Scheduler> Simulator<'w, S> {
     }
 }
 
-/// Renders the stage budget of the `sim.physics` span from a snapshot:
-/// each stage's total, its share of the span's self time and its cost
-/// per pod-tick. `None` when the snapshot holds no physics pass.
+/// Renders the stage budget of the `sim.physics` span per pod-tick
+/// (see [`optum_obs::stage_table`]). `None` when the snapshot holds no
+/// physics pass.
 pub fn physics_stage_table(snap: &optum_obs::Snapshot) -> Option<String> {
-    let self_ns = snap.span("sim.physics")?.self_ns.max(1) as f64;
-    let pod_ticks = snap.counter(PHYSICS_POD_TICKS)?.max(1) as f64;
-    let mut out = format!(
-        "{:<28} {:>11} {:>7} {:>12}\n",
-        "sim.physics stage", "total_ms", "share", "ns/pod-tick"
-    );
-    let mut row = |name: &str, ns: f64| {
-        out.push_str(&format!(
-            "{name:<28} {:>11.3} {:>6.1}% {:>12.2}\n",
-            ns / 1.0e6,
-            100.0 * ns / self_ns,
-            ns / pod_ticks
-        ));
-    };
-    for name in PHYSICS_STAGES {
-        row(name, snap.counter(name).unwrap_or(0) as f64);
-    }
-    row("sim.physics (span self time)", self_ns);
-    Some(out)
+    let pod_ticks = snap.counter(PHYSICS_POD_TICKS)?;
+    optum_obs::stage_table(
+        snap,
+        "sim.physics",
+        &PHYSICS_STAGES,
+        ("pod-tick", pod_ticks),
+    )
 }
 
 #[cfg(test)]

@@ -70,13 +70,11 @@ impl ShardLayout {
         self.ranges.len()
     }
 
-    /// The shard owning a global node id.
-    pub fn shard_of(&self, node: NodeId) -> usize {
+    /// The shard owning a global node id, `None` for an id outside the
+    /// fleet.
+    pub fn shard_of(&self, node: NodeId) -> Option<usize> {
         let id = node.0;
-        self.ranges
-            .iter()
-            .position(|&(s, e)| s <= id && id < e)
-            .unwrap_or(0)
+        self.ranges.iter().position(|&(s, e)| s <= id && id < e)
     }
 
     /// Global slab count (the length of the reduction tree).
@@ -137,10 +135,11 @@ mod tests {
     fn shard_of_matches_ranges() {
         let l = ShardLayout::contiguous(300, 3);
         for id in 0..300u32 {
-            let s = l.shard_of(NodeId(id));
+            let s = l.shard_of(NodeId(id)).unwrap();
             let (a, b) = l.ranges[s];
             assert!(a <= id && id < b);
         }
+        assert_eq!(l.shard_of(NodeId(300)), None);
     }
 
     #[test]

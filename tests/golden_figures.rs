@@ -18,7 +18,10 @@
 //!
 //! and justify the diff in the PR.
 
+use std::sync::OnceLock;
+
 use optum_platform::experiments::output::head_lines;
+use optum_platform::experiments::overload::OverloadArm;
 use optum_platform::experiments::{
     churn, degrade, disrupt, endtoend, overload, scalebench, serve, ExpConfig, Runner,
 };
@@ -154,21 +157,58 @@ fn fig19_resumed_from_checkpoint_is_byte_identical() {
     );
 }
 
-#[test]
-fn overload_fast_matches_golden_at_each_thread_count() {
-    for threads in THREAD_COUNTS {
+/// The golden overload grid's arms at `THREAD_COUNTS[i]` worker
+/// threads, run once per test binary. The grid is the suite's most
+/// expensive computation (its unprotected 10× storm arms dominate), so
+/// the overload tests share it instead of each re-running its arms.
+fn overload_arms(i: usize) -> &'static [OverloadArm] {
+    static ARMS: [OnceLock<Vec<OverloadArm>>; THREAD_COUNTS.len()] =
+        [const { OnceLock::new() }; THREAD_COUNTS.len()];
+    ARMS[i].get_or_init(|| {
         let mut runner = Runner::new(ExpConfig::fast()).expect("workload generation");
-        runner.set_threads(threads);
-        let rendered = overload::overload_grid(&mut runner, &OVERLOAD_INTENSITIES, &OVERLOAD_CAPS)
-            .expect("overload")
-            .render();
-        assert_eq!(
-            head_lines(&rendered, GOLDEN_LINES),
-            OVERLOAD_GOLDEN,
-            "overload drifted from tests/golden/overload_fast_head.tsv at threads={threads} \
-             (if intentional, regenerate with the gen_golden example)"
+        runner.set_threads(THREAD_COUNTS[i]);
+        overload::overload_results(&mut runner, &OVERLOAD_INTENSITIES, &OVERLOAD_CAPS)
+            .expect("overload results")
+    })
+}
+
+/// The grid's arms at one worker thread, in grid order, restricted to
+/// one (intensity, cap) cell per entry of `cells`.
+fn overload_cells(cells: &[(f64, Option<usize>)]) -> Vec<&'static OverloadArm> {
+    let mut arms = Vec::new();
+    for &(intensity, cap) in cells {
+        let before = arms.len();
+        arms.extend(
+            overload_arms(0)
+                .iter()
+                .filter(|a| a.intensity == intensity && a.cap == cap),
+        );
+        assert!(
+            arms.len() > before,
+            "the golden overload grid lacks the {intensity}x / {cap:?} cell"
         );
     }
+    arms
+}
+
+#[test]
+fn overload_fast_matches_golden_at_each_thread_count() {
+    // The thread counts run side by side: each grid is serial work at
+    // heart (one long storm arm), and the comparison is per count.
+    std::thread::scope(|s| {
+        let grids: Vec<_> = (0..THREAD_COUNTS.len())
+            .map(|i| s.spawn(move || overload_arms(i)))
+            .collect();
+        for (grid, threads) in grids.into_iter().zip(THREAD_COUNTS) {
+            let rendered = overload::overload_figure(grid.join().expect("overload grid")).render();
+            assert_eq!(
+                head_lines(&rendered, GOLDEN_LINES),
+                OVERLOAD_GOLDEN,
+                "overload drifted from tests/golden/overload_fast_head.tsv at threads={threads} \
+                 (if intentional, regenerate with the gen_golden example)"
+            );
+        }
+    });
 }
 
 /// The overload sweep's intensity=1, cap=∞ arm must reproduce the
@@ -182,7 +222,7 @@ fn overload_calm_unprotected_arm_matches_fig19_optum_arm() {
     // Fan-out is bit-identical at every thread count (the golden test
     // above asserts it), so use auto threads for wall time.
     runner.set_threads(0);
-    let arms = overload::overload_results(&mut runner, &[1.0], &[None]).expect("overload results");
+    let arms = overload_cells(&[(1.0, None)]);
     endtoend::fig19(&mut runner).expect("fig19");
     let optum = &runner.roster_cache[0];
     assert_eq!(optum.scheduler, "Optum", "fig19 roster order changed");
@@ -205,10 +245,7 @@ fn overload_calm_unprotected_arm_matches_fig19_optum_arm() {
 /// tail near its calm-weather value.
 #[test]
 fn overload_storm_sheds_in_class_order_and_protects_lsr_tail() {
-    let mut runner = Runner::new(ExpConfig::fast()).expect("workload generation");
-    runner.set_threads(0);
-    let arms = overload::overload_results(&mut runner, &[1.0, 10.0], &[Some(1000)])
-        .expect("overload results");
+    let arms = overload_cells(&[(1.0, Some(1000)), (10.0, Some(1000))]);
     let (calm, storm) = arms.split_at(6);
     for (calm_arm, storm_arm) in calm.iter().zip(storm) {
         let r = &storm_arm.result;
