@@ -9,16 +9,14 @@ use optum_ml::{Matrix, RandomForest, Regressor};
 /// A synthetic regression problem shaped like the profiler's: a few
 /// informative features, a nonlinear threshold target.
 fn training_set(n: usize) -> (Matrix, Vec<f64>) {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(4242);
+    let mut rng = optum_types::StdRng::seed_from_u64(4242);
     let mut rows = Vec::with_capacity(n);
     let mut y = Vec::with_capacity(n);
     for _ in 0..n {
-        let u: f64 = rng.gen_range(0.0..1.0);
-        let host: f64 = rng.gen_range(0.0..1.0);
-        let qps: f64 = rng.gen_range(0.0..1.0);
-        let jitter: f64 = rng.gen_range(0.0..1.0);
+        let u = rng.gen_range(0.0..1.0);
+        let host = rng.gen_range(0.0..1.0);
+        let qps = rng.gen_range(0.0..1.0);
+        let jitter = rng.gen_range(0.0..1.0);
         rows.push(vec![u, 0.4 + 0.2 * jitter, host, 0.3 + 0.2 * jitter, qps]);
         y.push((0.8 * (host - 0.6).max(0.0) * (0.3 + 0.7 * u) * (0.4 + 0.6 * qps)).clamp(0.0, 1.0));
     }

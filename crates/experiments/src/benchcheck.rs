@@ -54,9 +54,9 @@ pub const RSS_RATIO_LIMIT: f64 = 1.5;
 // ---------------------------------------------------------------------------
 // Minimal JSON value parser.
 //
-// The offline build stubs `serde_json`, and the BENCH schema is our
-// own (written by `optum_obs::JsonWriter`), so a small recursive-
-// descent parser is all bench-check needs.
+// The BENCH schema is our own (written by `optum_obs::JsonWriter`), and
+// the workspace takes no runtime dependency from crates.io, so a small
+// recursive-descent parser is all bench-check needs.
 // ---------------------------------------------------------------------------
 
 /// A parsed JSON value.

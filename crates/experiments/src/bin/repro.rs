@@ -39,16 +39,7 @@ use optum_experiments::{benchcheck, run_figure_with, snapshot, ExpConfig, Runner
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!(
-            "usage: repro <figure-id>|all [--fast] [--hosts N] [--days D] [--seed S] [--threads T] [--shards N] [--trace-summary] [--bench-dir DIR] [--no-bench] [--checkpoint-every N] [--checkpoint-path FILE] [--resume FILE] [--queue-cap N]"
-        );
-        eprintln!(
-            "       repro bench-check [figure-id...] [--fast] [--baselines DIR] [--report FILE] [--tolerance-pct N] [--retries N]"
-        );
-        eprintln!(
-            "figures: {ALL_FIGURES:?} + fig22 + churn + degrade + overload + scale + serve + disrupt"
-        );
-        std::process::exit(2);
+        usage_exit();
     }
     let mut config = ExpConfig::standard();
     let mut figures: Vec<String> = Vec::new();
@@ -63,23 +54,13 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--baselines" => {
-                i += 1;
-                gate.baseline_dir = std::path::PathBuf::from(&args[i]);
-            }
-            "--report" => {
-                i += 1;
-                gate.report = std::path::PathBuf::from(&args[i]);
-            }
+            "--baselines" => gate.baseline_dir = flag_value(&args, &mut i),
+            "--report" => gate.report = flag_value(&args, &mut i),
             "--tolerance-pct" => {
-                i += 1;
-                let pct: f64 = args[i].parse().expect("--tolerance-pct takes a percentage");
+                let pct: f64 = flag_value(&args, &mut i);
                 gate.tolerance = pct / 100.0;
             }
-            "--retries" => {
-                i += 1;
-                gate.retries = args[i].parse().expect("--retries takes a count");
-            }
+            "--retries" => gate.retries = flag_value(&args, &mut i),
             "--fast" => {
                 config = ExpConfig {
                     seed: config.seed,
@@ -89,47 +70,20 @@ fn main() {
             }
             "--trace-summary" => trace_summary = true,
             "--no-bench" => write_bench = false,
-            "--bench-dir" => {
-                i += 1;
-                bench_dir = std::path::PathBuf::from(&args[i]);
-            }
-            "--checkpoint-every" => {
-                i += 1;
-                checkpoint_every = Some(args[i].parse().expect("--checkpoint-every takes ticks"));
-            }
-            "--checkpoint-path" => {
-                i += 1;
-                checkpoint_path = std::path::PathBuf::from(&args[i]);
-            }
-            "--resume" => {
-                i += 1;
-                resume_from = Some(std::path::PathBuf::from(&args[i]));
-            }
+            "--bench-dir" => bench_dir = flag_value(&args, &mut i),
+            "--checkpoint-every" => checkpoint_every = Some(flag_value(&args, &mut i)),
+            "--checkpoint-path" => checkpoint_path = flag_value(&args, &mut i),
+            "--resume" => resume_from = Some(flag_value(&args, &mut i)),
             "--queue-cap" => {
-                i += 1;
-                let n: usize = args[i].parse().expect("--queue-cap takes a pod count");
+                let n: usize = flag_value(&args, &mut i);
                 queue_cap = Some(if n == 0 { None } else { Some(n) });
             }
-            "--hosts" => {
-                i += 1;
-                config.hosts = args[i].parse().expect("--hosts takes a number");
-            }
-            "--days" => {
-                i += 1;
-                config.days = args[i].parse().expect("--days takes a number");
-            }
-            "--seed" => {
-                i += 1;
-                config.seed = args[i].parse().expect("--seed takes a number");
-            }
-            "--shards" => {
-                i += 1;
-                let s: usize = args[i].parse().expect("--shards takes a count");
-                config.shards = Some(s);
-            }
+            "--hosts" => config.hosts = flag_value(&args, &mut i),
+            "--days" => config.days = flag_value(&args, &mut i),
+            "--seed" => config.seed = flag_value(&args, &mut i),
+            "--shards" => config.shards = Some(flag_value(&args, &mut i)),
             "--threads" => {
-                i += 1;
-                let t: usize = args[i].parse().expect("--threads takes a number");
+                let t: usize = flag_value(&args, &mut i);
                 // Export so every layer (experiment fan-out, profiler
                 // training) resolves the same worker count.
                 std::env::set_var(optum_parallel::THREADS_ENV, t.to_string());
@@ -234,4 +188,33 @@ fn main() {
             }
         }
     }
+}
+
+fn usage_exit() -> ! {
+    eprintln!(
+        "usage: repro <figure-id>|all [--fast] [--hosts N] [--days D] [--seed S] [--threads T] [--shards N] [--trace-summary] [--bench-dir DIR] [--no-bench] [--checkpoint-every N] [--checkpoint-path FILE] [--resume FILE] [--queue-cap N]"
+    );
+    eprintln!(
+        "       repro bench-check [figure-id...] [--fast] [--baselines DIR] [--report FILE] [--tolerance-pct N] [--retries N]"
+    );
+    eprintln!(
+        "figures: {ALL_FIGURES:?} + fig22 + churn + degrade + overload + scale + serve + disrupt"
+    );
+    std::process::exit(2);
+}
+
+/// Parses the value that follows the flag at `args[*i]` and steps `i`
+/// onto it. A missing or malformed value names the flag, prints the
+/// usage and exits 2.
+fn flag_value<T: std::str::FromStr>(args: &[String], i: &mut usize) -> T {
+    let flag = &args[*i];
+    *i += 1;
+    match args.get(*i) {
+        None => eprintln!("repro: {flag} needs a value"),
+        Some(value) => match value.parse() {
+            Ok(v) => return v,
+            Err(_) => eprintln!("repro: {flag} cannot take {value:?}"),
+        },
+    }
+    usage_exit()
 }

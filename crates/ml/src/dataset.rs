@@ -1,9 +1,6 @@
 //! Dataset container, train/test splitting and feature standardization.
 
-use optum_types::{Error, Result};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use optum_types::{Error, Result, StdRng};
 
 use crate::linalg::Matrix;
 
@@ -78,7 +75,7 @@ pub fn train_test_split(
         return Err(Error::InvalidData("not enough samples to split".into()));
     }
     let mut idx: Vec<usize> = (0..n).collect();
-    idx.shuffle(&mut StdRng::seed_from_u64(seed));
+    StdRng::seed_from_u64(seed).shuffle(&mut idx);
     let test = data.select(&idx[..n_test])?;
     let train = data.select(&idx[n_test..])?;
     Ok((train, test))

@@ -4,10 +4,7 @@
 //! The model the paper's Interference Profiler adopts after comparing
 //! five regressors (§4.2.1, Fig. 18).
 
-use optum_types::{Error, Result};
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
+use optum_types::{Error, Result, StdRng};
 
 use crate::linalg::Matrix;
 use crate::tree::{DecisionTree, TreeParams};
@@ -257,16 +254,14 @@ mod tests {
 
     #[test]
     fn beats_single_tree_on_nonlinear_noisy_target() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(99);
         let mut rows = Vec::new();
         let mut y = Vec::new();
         // Nonlinear target with noise: y = sin-ish threshold interaction.
         for _ in 0..300 {
-            let a: f64 = rng.gen_range(0.0..1.0);
-            let b: f64 = rng.gen_range(0.0..1.0);
-            let noise: f64 = rng.gen_range(-0.05..0.05);
+            let a = rng.gen_range(0.0..1.0);
+            let b = rng.gen_range(0.0..1.0);
+            let noise = rng.gen_range(-0.05..0.05);
             rows.push(vec![a, b]);
             y.push(((a - 0.5).max(0.0) * 2.0 + (b * 3.0).sin().abs() * 0.5 + noise).max(0.01));
         }

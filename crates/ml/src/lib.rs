@@ -37,11 +37,6 @@ pub use tree::{DecisionTree, TreeParams};
 
 use optum_types::Result;
 
-/// Draws a standard-normal variate (shared by the randomized models).
-pub(crate) fn stats_normal<R: rand::Rng + ?Sized>(rng: &mut R) -> f64 {
-    optum_stats::Normal::standard_sample(rng)
-}
-
 /// A trainable regression model mapping feature rows to a scalar target.
 pub trait Regressor {
     /// Fits the model on a feature matrix (one row per sample) and a

@@ -4,14 +4,11 @@
 //! inputs are standardized internally. Matches the "MLP Regressor"
 //! baseline of Fig. 18.
 
-use optum_types::{Error, Result};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use optum_stats::Normal;
+use optum_types::{Error, Result, StdRng};
 
 use crate::dataset::Standardizer;
 use crate::linalg::Matrix;
-use crate::stats_normal;
 use crate::Regressor;
 
 /// A one-hidden-layer MLP regressor.
@@ -104,18 +101,22 @@ impl Regressor for MlpRegressor {
         // He initialization for the ReLU layer.
         let he = (2.0 / d as f64).sqrt();
         self.w1 = (0..self.hidden)
-            .map(|_| (0..d).map(|_| stats_normal(&mut rng) * he).collect())
+            .map(|_| {
+                (0..d)
+                    .map(|_| Normal::standard_sample(&mut rng) * he)
+                    .collect()
+            })
             .collect();
         self.b1 = vec![0.0; self.hidden];
         let out_scale = (1.0 / self.hidden as f64).sqrt();
         self.w2 = (0..self.hidden)
-            .map(|_| stats_normal(&mut rng) * out_scale)
+            .map(|_| Normal::standard_sample(&mut rng) * out_scale)
             .collect();
         self.b2 = 0.0;
 
         let mut order: Vec<usize> = (0..n).collect();
         for _ in 0..self.epochs {
-            order.shuffle(&mut rng);
+            rng.shuffle(&mut order);
             for chunk in order.chunks(self.batch) {
                 // Accumulate gradients over the mini-batch.
                 let mut gw1 = vec![vec![0.0; d]; self.hidden];

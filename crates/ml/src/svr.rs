@@ -8,10 +8,7 @@
 //! least-squares speed. Inputs are standardized internally so the
 //! step-size schedule is scale-free.
 
-use optum_types::{Error, Result};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use optum_types::{Error, Result, StdRng};
 
 use crate::dataset::Standardizer;
 use crate::linalg::Matrix;
@@ -81,7 +78,7 @@ impl Regressor for LinearSvr {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut step_count = 0usize;
         for _ in 0..self.epochs {
-            order.shuffle(&mut rng);
+            rng.shuffle(&mut order);
             for &i in &order {
                 step_count += 1;
                 // Decaying step size; the 1e-3 decay constant reaches a

@@ -17,10 +17,7 @@
 //! pure structural copy in deterministic preorder, so predictions are
 //! bit-identical to walking the boxed builder's output.
 
-use optum_types::{Error, Result};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use optum_types::{Error, Result, StdRng};
 
 use crate::linalg::Matrix;
 use crate::Regressor;
@@ -200,7 +197,7 @@ impl DecisionTree {
         let d = x.cols();
         let mut feats: Vec<usize> = (0..d).collect();
         if let Some(k) = params.max_features {
-            feats.shuffle(rng);
+            rng.shuffle(&mut feats);
             feats.truncate(k.min(d));
         }
 

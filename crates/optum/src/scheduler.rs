@@ -4,13 +4,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-
 use optum_predictors::{OptumPredictor, PodInfo, UsagePredictor};
 use optum_sim::{ClusterView, Decision, NodeRuntime, Scheduler, TrainingData};
-use optum_types::{AppId, PodSpec, Resources, SloClass};
+use optum_types::{AppId, PodSpec, Resources, SloClass, StdRng};
 
 use crate::profiler::{InterferenceProfiler, ResourceUsageProfiler};
 
@@ -635,13 +631,11 @@ impl OptumScheduler {
             }
         };
         // PPO sampling: a random host subset per request (§4.3.4).
-        // `partial_shuffle` returns the sampled elements as its first
-        // tuple component (they live at the *end* of the slice).
         {
             let _filter = optum_obs::span!("optum.filter");
             s.sample.clear();
             s.sample.extend(0..n);
-            let (chosen, _) = s.sample.partial_shuffle(&mut self.rng, want);
+            let chosen = self.rng.partial_shuffle(&mut s.sample, want);
             // Affinity first (§2.1: candidates are the affinity-
             // satisfying nodes), then the PPO sample.
             s.candidates.clear();

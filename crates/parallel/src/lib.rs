@@ -19,8 +19,7 @@
 //! 3. `std::thread::available_parallelism()`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Environment variable overriding the worker-thread count.
 pub const THREADS_ENV: &str = "OPTUM_THREADS";
@@ -79,6 +78,9 @@ where
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
 
+    // Every slot update is one move in or out, so a slot is valid even
+    // when poisoned: the locks below recover the guard instead of
+    // failing.
     let mut slots: Vec<Mutex<Option<R>>> = Vec::with_capacity(n);
     slots.resize_with(n, || Mutex::new(None));
     let cursor = AtomicUsize::new(0);
@@ -93,7 +95,7 @@ where
                         break;
                     }
                     let r = f(i, &items[i]);
-                    *slots[i].lock() = Some(r);
+                    *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
                 }
                 // Merge this worker's metric shard before the scope
                 // joins: scoped threads signal completion *before* TLS
@@ -116,6 +118,7 @@ where
         .into_iter()
         .map(|slot| {
             slot.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
                 .expect("every slot filled by the worker pool")
         })
         .collect()
@@ -216,7 +219,11 @@ where
     // Park each item in its own slot so workers can move it out.
     let inputs: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     parallel_map_threads(threads, &inputs, |i, slot| {
-        let item = slot.lock().take().expect("each input slot is taken once");
+        let item = slot
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+            .expect("each input slot is taken once");
         f(i, item)
     })
 }

@@ -6,24 +6,13 @@
 //! come out equal at every cap.
 
 use optum_shard::{ScaleEngine, ScaleSimConfig, ScoreParams};
-use optum_sim::{ClusterView, Decision, Scheduler, SimConfig};
+use optum_sim::testing::Refuse;
+use optum_sim::SimConfig;
 use optum_trace::{generate, ScalePod, WorkloadConfig};
-use optum_types::{DelayCause, PodSpec, Tick};
+use optum_types::Tick;
 
 const HOSTS: usize = 40;
 const WINDOW: u64 = 900;
-
-struct Refuse;
-
-impl Scheduler for Refuse {
-    fn name(&self) -> String {
-        "refuse".into()
-    }
-
-    fn select_node(&mut self, _pod: &PodSpec, _view: &ClusterView<'_>) -> Decision {
-        Decision::Unplaceable(DelayCause::CpuAndMemory)
-    }
-}
 
 /// `(shed tick, pod)` in shed order: by tick, then pod id.
 fn shed_order(shed_at: impl Iterator<Item = Option<u64>>) -> Vec<(u64, usize)> {
@@ -59,7 +48,7 @@ fn simulator_and_one_shard_engine_admit_identically() {
             // No over-commit budget: LSR preemption finds no room
             // either, so the refusing scheduler's verdict is final.
             sim_cfg.preempt_request_cap = 0.0;
-            let sim = optum_sim::run(&workload, Refuse, sim_cfg).unwrap();
+            let sim = optum_sim::run(&workload, Refuse::default(), sim_cfg).unwrap();
             assert!(sim.outcomes.iter().all(|o| o.placed_at.is_none()));
 
             let mut scale_cfg = ScaleSimConfig::new(HOSTS, 1, WINDOW);

@@ -2108,49 +2108,9 @@ mod record_props;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{Decision, Scheduler};
+    use crate::testing::{FirstFit, Refuse};
     use optum_trace::{generate, WorkloadConfig};
-    use optum_types::{DelayCause, PodSpec};
-
-    /// First-fit by requests against raw capacity (no over-commit).
-    struct FirstFit;
-
-    impl Scheduler for FirstFit {
-        fn name(&self) -> String {
-            "first-fit".into()
-        }
-
-        fn select_node(&mut self, pod: &PodSpec, view: &ClusterView<'_>) -> Decision {
-            for node in view.nodes {
-                if pod.request.fits_within(&node.free_by_request()) {
-                    return Decision::Place(node.spec.id);
-                }
-            }
-            Decision::Unplaceable(DelayCause::CpuAndMemory)
-        }
-
-        // Stateless, hence trivially checkpointable.
-        fn save_state(&self) -> Option<Vec<u8>> {
-            Some(Vec::new())
-        }
-
-        fn load_state(&mut self, _state: &[u8]) -> optum_types::Result<()> {
-            Ok(())
-        }
-    }
-
-    /// A scheduler that always declines, to exercise waiting paths.
-    struct Refuser;
-
-    impl Scheduler for Refuser {
-        fn name(&self) -> String {
-            "refuser".into()
-        }
-
-        fn select_node(&mut self, _pod: &PodSpec, _view: &ClusterView<'_>) -> Decision {
-            Decision::Unplaceable(DelayCause::Other)
-        }
-    }
+    use optum_types::DelayCause;
 
     /// One shared simulation run (several tests assert on different
     /// aspects of the same result; rerunning it per test is wasteful).
@@ -2194,7 +2154,7 @@ mod tests {
     #[test]
     fn refusing_scheduler_places_nothing_but_lsr_preempts() {
         let w = generate(&WorkloadConfig::small(7)).unwrap();
-        let r = crate::run(&w, Refuser, SimConfig::new(40)).unwrap();
+        let r = crate::run(&w, Refuse::default(), SimConfig::new(40)).unwrap();
         // No BE pods can be preempted onto nodes (nothing is placed),
         // so nothing at all should run.
         assert_eq!(
@@ -2349,7 +2309,7 @@ mod tests {
     fn non_checkpointable_scheduler_reports_clear_error() {
         let path = snap_path("refuser");
         let w = generate(&WorkloadConfig::small(7)).unwrap();
-        let err = crate::run(&w, Refuser, checkpointing_config(40, &path))
+        let err = crate::run(&w, Refuse::default(), checkpointing_config(40, &path))
             .err()
             .unwrap();
         let msg = err.to_string();
@@ -2446,7 +2406,7 @@ mod tests {
         cfg.queue_cap = Some(8);
         // A refusing scheduler keeps the queue permanently over the
         // cap, exercising the shed path continuously.
-        let r = crate::run(&w, Refuser, cfg).unwrap();
+        let r = crate::run(&w, Refuse::default(), cfg).unwrap();
         assert!(r.overload.conserved(), "{:?}", r.overload);
         assert!(r.overload.total_shed() > 0);
         assert_eq!(r.overload.max_depth as usize, 8);

@@ -10,31 +10,10 @@ use std::collections::HashMap;
 
 use super::*;
 use crate::node::PodPhysics;
+use crate::testing::Refuse;
 use optum_trace::{generate, WorkloadConfig};
-use optum_types::{PodSpec, SplitMix64};
+use optum_types::SplitMix64;
 use proptest::prelude::*;
-
-/// Never decides anything: the test places pods itself. Stateless,
-/// hence checkpointable.
-struct Bystander;
-
-impl Scheduler for Bystander {
-    fn name(&self) -> String {
-        "bystander".into()
-    }
-
-    fn select_node(&mut self, _pod: &PodSpec, _view: &ClusterView<'_>) -> Decision {
-        Decision::Unplaceable(DelayCause::Other)
-    }
-
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(Vec::new())
-    }
-
-    fn load_state(&mut self, _state: &[u8]) -> Result<()> {
-        Ok(())
-    }
-}
 
 const HOSTS: usize = 10;
 const TICKS: u64 = 140;
@@ -44,7 +23,7 @@ fn workload() -> &'static Workload {
     W.get_or_init(|| generate(&WorkloadConfig::small(7)).unwrap())
 }
 
-type Sim = Simulator<'static, Bystander>;
+type Sim = Simulator<'static, Refuse>;
 
 /// The driver: the engine plus what the test believes each evicted
 /// pod carries into its next placement.
@@ -198,8 +177,13 @@ impl Driver {
     /// and carries on with that one.
     fn restore(&mut self, t: Tick) {
         let bytes = self.sim.snapshot_bytes(t).unwrap();
-        let restored =
-            Simulator::resume(workload(), Bystander, SimConfig::new(HOSTS), &bytes).unwrap();
+        let restored = Simulator::resume(
+            workload(),
+            Refuse::checkpointable(),
+            SimConfig::new(HOSTS),
+            &bytes,
+        )
+        .unwrap();
         for (a, b) in restored.nodes.iter().zip(&self.sim.nodes) {
             assert_eq!(a.pods(), b.pods());
             assert_eq!(a.physics(), b.physics());
@@ -247,7 +231,7 @@ proptest! {
 
     #[test]
     fn records_follow_their_pods_and_keep_the_progress_they_should(seed in any::<u64>()) {
-        let sim = Simulator::new(workload(), Bystander, SimConfig::new(HOSTS)).unwrap();
+        let sim = Simulator::new(workload(), Refuse::checkpointable(), SimConfig::new(HOSTS)).unwrap();
         Driver { sim, rng: SplitMix64::new(seed), carried: HashMap::new(), resumed: 0, restores: 0 }
             .run();
     }

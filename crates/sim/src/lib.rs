@@ -28,6 +28,8 @@ pub mod engine;
 pub mod node;
 pub mod result;
 pub mod scheduler;
+#[doc(hidden)]
+pub mod testing;
 pub mod training;
 pub mod view;
 

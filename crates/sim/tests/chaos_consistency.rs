@@ -7,28 +7,11 @@
 //! plan replays bit-identically.
 
 use optum_chaos::{generate_plan, ChaosConfig};
-use optum_sim::{run, ClusterView, Decision, Scheduler, SimConfig, SimResult};
+use optum_sim::testing::FirstFit;
+use optum_sim::{run, SimConfig, SimResult};
 use optum_trace::{generate, Workload, WorkloadConfig};
-use optum_types::{DelayCause, FaultEvent, FaultKind, NodeId, PodSpec, SloClass, Tick};
+use optum_types::{DelayCause, FaultEvent, FaultKind, NodeId, SloClass, Tick};
 use proptest::prelude::*;
-
-/// First-fit by requests against raw capacity.
-struct FirstFit;
-
-impl Scheduler for FirstFit {
-    fn name(&self) -> String {
-        "first-fit".into()
-    }
-
-    fn select_node(&mut self, pod: &PodSpec, view: &ClusterView<'_>) -> Decision {
-        for node in view.nodes {
-            if node.is_schedulable() && pod.request.fits_within(&node.free_by_request()) {
-                return Decision::Place(node.spec.id);
-            }
-        }
-        Decision::Unplaceable(DelayCause::CpuAndMemory)
-    }
-}
 
 const HOSTS: usize = 40;
 

@@ -20,35 +20,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
 use optum_sim::checkpoint::{fnv1a, read_snapshot_file};
-use optum_sim::{ClusterView, Decision, Scheduler, SimConfig, Simulator};
+use optum_sim::testing::FirstFit;
+use optum_sim::{SimConfig, Simulator};
 use optum_trace::{arrival_schedule, generate, Workload, WorkloadConfig};
-use optum_types::{DelayCause, PodId, PodSpec, SplitMix64, Tick};
-
-/// First-fit by requests; stateless, hence checkpointable.
-struct FirstFit;
-
-impl Scheduler for FirstFit {
-    fn name(&self) -> String {
-        "first-fit".into()
-    }
-
-    fn select_node(&mut self, pod: &PodSpec, view: &ClusterView<'_>) -> Decision {
-        for node in view.nodes {
-            if node.is_schedulable() && pod.request.fits_within(&node.free_by_request()) {
-                return Decision::Place(node.spec.id);
-            }
-        }
-        Decision::Unplaceable(DelayCause::CpuAndMemory)
-    }
-
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(Vec::new())
-    }
-
-    fn load_state(&mut self, _state: &[u8]) -> optum_types::Result<()> {
-        Ok(())
-    }
-}
+use optum_types::{PodId, SplitMix64, Tick};
 
 const HOSTS: usize = 16;
 const SNAP_TICK: Tick = Tick(120);

@@ -3,36 +3,10 @@
 //! rejected with clear errors instead of corrupt resumes.
 
 use optum_sim::checkpoint::{fnv1a, read_snapshot_file, SNAP_VERSION};
-use optum_sim::{run, ClusterView, Decision, Scheduler, SimConfig, Simulator};
+use optum_sim::testing::FirstFit;
+use optum_sim::{run, SimConfig, Simulator};
 use optum_trace::{generate, Workload, WorkloadConfig};
-use optum_types::{DelayCause, PodSpec, ShardLayout};
-
-/// First-fit by requests against raw capacity; checkpointable
-/// (stateless, so its saved state is empty).
-struct FirstFit;
-
-impl Scheduler for FirstFit {
-    fn name(&self) -> String {
-        "first-fit".into()
-    }
-
-    fn select_node(&mut self, pod: &PodSpec, view: &ClusterView<'_>) -> Decision {
-        for node in view.nodes {
-            if node.is_schedulable() && pod.request.fits_within(&node.free_by_request()) {
-                return Decision::Place(node.spec.id);
-            }
-        }
-        Decision::Unplaceable(DelayCause::CpuAndMemory)
-    }
-
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(Vec::new())
-    }
-
-    fn load_state(&mut self, _state: &[u8]) -> optum_types::Result<()> {
-        Ok(())
-    }
-}
+use optum_types::ShardLayout;
 
 const HOSTS: usize = 40;
 

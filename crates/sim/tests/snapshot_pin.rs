@@ -5,36 +5,10 @@
 //! always did, and resume from them to the uninterrupted digest.
 
 use optum_sim::checkpoint::{fnv1a, read_snapshot_file};
-use optum_sim::{run, ClusterView, Decision, Scheduler, SimConfig, Simulator};
+use optum_sim::testing::FirstFit;
+use optum_sim::{run, SimConfig, Simulator};
 use optum_trace::{generate, WorkloadConfig};
-use optum_types::{sort_fault_plan, DelayCause, FaultEvent, FaultKind, NodeId, PodSpec, Tick};
-
-/// First-fit by requests against raw capacity; stateless, hence
-/// checkpointable.
-struct FirstFit;
-
-impl Scheduler for FirstFit {
-    fn name(&self) -> String {
-        "first-fit".into()
-    }
-
-    fn select_node(&mut self, pod: &PodSpec, view: &ClusterView<'_>) -> Decision {
-        for node in view.nodes {
-            if node.is_schedulable() && pod.request.fits_within(&node.free_by_request()) {
-                return Decision::Place(node.spec.id);
-            }
-        }
-        Decision::Unplaceable(DelayCause::CpuAndMemory)
-    }
-
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(Vec::new())
-    }
-
-    fn load_state(&mut self, _state: &[u8]) -> optum_types::Result<()> {
-        Ok(())
-    }
-}
+use optum_types::{sort_fault_plan, FaultEvent, FaultKind, NodeId, Tick};
 
 const HOSTS: usize = 16;
 

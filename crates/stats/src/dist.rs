@@ -5,21 +5,21 @@
 //! exponential and Pareto families, a table-based Zipf sampler, and the
 //! deterministic diurnal curve that shapes LS workload over the day.
 
-use rand::Rng;
+use optum_types::StdRng;
 
 /// A distribution that can draw `f64` samples from an RNG.
 pub trait Sampler {
     /// Draws one sample.
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64;
+    fn sample(&self, rng: &mut StdRng) -> f64;
 
     /// Draws `n` samples into a vector.
-    fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<f64> {
+    fn sample_n(&self, rng: &mut StdRng, n: usize) -> Vec<f64> {
         (0..n).map(|_| self.sample(rng)).collect()
     }
 }
 
 /// Normal distribution via the Box–Muller transform.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Normal {
     /// Mean.
     pub mean: f64,
@@ -38,16 +38,16 @@ impl Normal {
     }
 
     /// Draws a standard-normal variate.
-    pub fn standard_sample<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    pub fn standard_sample(rng: &mut StdRng) -> f64 {
         // Box–Muller: u1 in (0, 1] avoids ln(0).
-        let u1: f64 = 1.0 - rng.gen::<f64>();
-        let u2: f64 = rng.gen();
+        let u1: f64 = 1.0 - rng.next_f64();
+        let u2 = rng.next_f64();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 }
 
 impl Sampler for Normal {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    fn sample(&self, rng: &mut StdRng) -> f64 {
         self.mean + self.std * Normal::standard_sample(rng)
     }
 }
@@ -56,7 +56,7 @@ impl Sampler for Normal {
 ///
 /// Resource requests in production traces are heavily right-skewed;
 /// log-normal matches the published request distributions well.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormal {
     /// Mean of the underlying normal (log-scale location).
     pub mu: f64,
@@ -84,13 +84,13 @@ impl LogNormal {
 }
 
 impl Sampler for LogNormal {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    fn sample(&self, rng: &mut StdRng) -> f64 {
         (self.mu + self.sigma * Normal::standard_sample(rng)).exp()
     }
 }
 
 /// Exponential distribution with rate `lambda` (inverse-CDF method).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exponential {
     /// Rate parameter (> 0); mean is `1 / lambda`.
     pub lambda: f64,
@@ -108,15 +108,15 @@ impl Exponential {
 }
 
 impl Sampler for Exponential {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = 1.0 - rng.gen::<f64>();
+    fn sample(&self, rng: &mut StdRng) -> f64 {
+        let u: f64 = 1.0 - rng.next_f64();
         -u.ln() / self.lambda
     }
 }
 
 /// Pareto distribution with scale `xm` and shape `alpha`
 /// (heavy-tailed; models waiting times and batch sizes, Figs. 7–8).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pareto {
     /// Scale (minimum value, > 0).
     pub xm: f64,
@@ -137,8 +137,8 @@ impl Pareto {
 }
 
 impl Sampler for Pareto {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = 1.0 - rng.gen::<f64>();
+    fn sample(&self, rng: &mut StdRng) -> f64 {
+        let u: f64 = 1.0 - rng.next_f64();
         self.xm / u.powf(1.0 / self.alpha)
     }
 }
@@ -147,7 +147,7 @@ impl Sampler for Pareto {
 ///
 /// Used where the trace shows heavy tails with physical caps (task
 /// durations, tasks-per-job).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundedPareto {
     /// Lower bound (> 0).
     pub lo: f64,
@@ -170,8 +170,8 @@ impl BoundedPareto {
 }
 
 impl Sampler for BoundedPareto {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.gen();
+    fn sample(&self, rng: &mut StdRng) -> f64 {
+        let u = rng.next_f64();
         let (la, ha) = (self.lo.powf(self.alpha), self.hi.powf(self.alpha));
         // Inverse CDF of the bounded Pareto.
         let x = (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / self.alpha);
@@ -183,7 +183,7 @@ impl Sampler for BoundedPareto {
 ///
 /// Application popularity in production traces is Zipf-like: a few
 /// applications own most pods.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Zipf {
     cdf: Vec<f64>,
 }
@@ -209,8 +209,8 @@ impl Zipf {
     }
 
     /// Draws a rank in `1..=n` (lower rank = more popular).
-    pub fn sample_rank<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
+    pub fn sample_rank(&self, rng: &mut StdRng) -> usize {
+        let u = rng.next_f64();
         self.cdf.partition_point(|&c| c < u) + 1
     }
 
@@ -221,7 +221,7 @@ impl Zipf {
 }
 
 impl Sampler for Zipf {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    fn sample(&self, rng: &mut StdRng) -> f64 {
         self.sample_rank(rng) as f64
     }
 }
@@ -231,7 +231,7 @@ impl Sampler for Zipf {
 /// Shapes LS QPS over the day (Fig. 3(b)); with `amp < 1` the curve
 /// stays positive. BE arrival rates use an anti-phase copy (valley
 /// filling, Implication 1).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Diurnal {
     /// Mean level of the curve.
     pub base: f64,
@@ -272,8 +272,6 @@ impl Diurnal {
 mod tests {
     use super::*;
     use crate::describe::{mean, stddev};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)

@@ -7,11 +7,8 @@
 //! diurnal, each spawning a heavy-tailed burst of tasks — producing the
 //! heavy-tailed per-minute submission counts of Fig. 7.
 
-use rand::rngs::StdRng;
-use rand::Rng;
-
 use optum_stats::{Exponential, LogNormal, Sampler};
-use optum_types::{PodId, PodSpec, Resources, Result, Tick};
+use optum_types::{PodId, PodSpec, Resources, Result, StdRng, Tick};
 
 use crate::config::WorkloadConfig;
 use crate::population::{AppKind, AppProfile, GeneratedPod};
@@ -27,7 +24,7 @@ pub fn poisson(rng: &mut StdRng, lambda: f64) -> u64 {
     let mut k = 0u64;
     let mut p = 1.0;
     loop {
-        p *= rng.gen::<f64>();
+        p *= rng.next_f64();
         if p <= l {
             return k;
         }
@@ -225,7 +222,6 @@ pub fn arrival_schedule(workload: &crate::Workload) -> Vec<(Tick, Vec<PodId>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn rescale_keeps_order_and_identity() {

@@ -4,10 +4,8 @@
 //! from unit-test clusters (tens of hosts) to the paper's ~6,000-host
 //! testbed without retuning.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the synthetic workload generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadConfig {
     /// RNG seed for population generation (physics noise derives
     /// per-entity sub-seeds from it).

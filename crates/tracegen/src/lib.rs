@@ -39,5 +39,3 @@ pub use population::{AppKind, AppProfile, BeParams, LsParams, PsiShape, TickTerm
 pub use scale::{generate_scale, ScalePod, ScaleWorkloadConfig, SCALE_CHANNEL};
 pub use storm::{apply_storm, ClassMix, StormConfig, StormWindow, STORM_CHANNEL};
 pub use workload::{generate, GeneratedPod, Workload};
-
-pub mod io;

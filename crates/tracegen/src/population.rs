@@ -13,15 +13,13 @@
 //! All physics methods are pure functions of (identity, tick, host
 //! state) with hash-based noise, so every scheduler sees the same world.
 
-use serde::{Deserialize, Serialize};
-
 use optum_stats::{BoundedPareto, Diurnal};
 use optum_types::{AppId, PodId, PodSpec, SloClass, Tick};
 
 use crate::physics::{hash_noise, hash_noise_signed, keyed_noise, sigmoid, signed};
 
 /// Parameters of a latency-sensitive (LS/LSR) application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LsParams {
     /// Steady-state replica count.
     pub replicas: usize,
@@ -47,7 +45,7 @@ pub struct LsParams {
 }
 
 /// Parameters of a best-effort (batch) application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BeParams {
     /// Job arrival rate per tick (anti-phase to the LS diurnal:
     /// valley filling).
@@ -74,7 +72,7 @@ pub struct BeParams {
 
 /// Parameters of unclassified / system / VM-environment applications:
 /// steady background consumers with no performance model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OtherParams {
     /// Steady-state replica count.
     pub replicas: usize,
@@ -87,7 +85,7 @@ pub struct OtherParams {
 }
 
 /// Class-specific behavior of an application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AppKind {
     /// Latency-sensitive service (LS or LSR).
     Ls(LsParams),
@@ -99,7 +97,7 @@ pub enum AppKind {
 
 /// A generated pod: the schedulable spec plus its fixed behavioral
 /// factors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneratedPod {
     /// The unified request visible to the scheduler.
     pub spec: PodSpec,
@@ -112,7 +110,7 @@ pub struct GeneratedPod {
 }
 
 /// One application's static profile, including its performance physics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppProfile {
     /// Application identifier.
     pub id: AppId,

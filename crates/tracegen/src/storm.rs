@@ -20,12 +20,8 @@
 //! **unchanged** (same bytes, same pod ids) — the anchor arms of the
 //! overload experiment rely on this to stay byte-identical to fig19.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-
 use optum_stats::{Exponential, LogNormal, Sampler};
-use optum_types::{Error, PodId, Result, SloClass, SplitMix64, Tick};
+use optum_types::{Error, PodId, Result, SloClass, SplitMix64, StdRng, Tick};
 
 use crate::arrivals::spec_for;
 use crate::population::{AppKind, AppProfile, GeneratedPod};
@@ -39,7 +35,7 @@ pub const STORM_CHANNEL: u64 = 5;
 /// Share of storm pods per SLO class. Weights are relative (they are
 /// normalized by their sum); classes with zero weight — or with no
 /// application of that class in the workload — contribute no pods.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassMix {
     /// Best-effort weight (batch retry storms; the common case).
     pub be: f64,
@@ -88,7 +84,7 @@ impl ClassMix {
 
 /// One burst window: arrivals inside `[start, start + duration)` are
 /// multiplied by `intensity`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StormWindow {
     /// First tick of the burst.
     pub start: u64,
@@ -102,7 +98,7 @@ pub struct StormWindow {
 }
 
 /// A full storm description: deterministic given `(seed, windows)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StormConfig {
     /// Seed of the per-window SplitMix64 streams.
     pub seed: u64,

@@ -1,11 +1,7 @@
 //! Workload assembly: application population plus pod arrival stream.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-
 use optum_stats::{BoundedPareto, Diurnal, LogNormal, Sampler};
-use optum_types::{AppId, Error, Result, SloClass};
+use optum_types::{AppId, Error, Result, SloClass, StdRng};
 
 use crate::arrivals::generate_pods;
 use crate::config::WorkloadConfig;
@@ -16,7 +12,7 @@ pub use crate::population::GeneratedPod;
 /// A complete generated workload: the application population and every
 /// pod submitted over the trace window (sorted by arrival; a pod's id
 /// is its index).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// The generator configuration this workload was built from.
     pub config: WorkloadConfig,
@@ -392,16 +388,18 @@ mod tests {
         assert!(share(SloClass::Unknown) > 0.1);
     }
 
+    /// Pooled over a fixed seed range: one small workload holds only a
+    /// handful of BE apps and requests are drawn per app, so a single
+    /// seed's mean strays from the LogNormal(median 0.05, σ 0.55)
+    /// expectation of 0.058 by more than the bound's margin.
     #[test]
-    #[cfg_attr(
-        offline_stubs,
-        ignore = "asserts absolutes calibrated to crates-io rand's number stream; see offline/README.md"
-    )]
     fn be_requests_are_small_and_heavy_tailed_durations() {
-        let w = small();
-        let be: Vec<&GeneratedPod> = w
-            .pods
+        let workloads: Vec<Workload> = (0..16)
+            .map(|seed| generate(&WorkloadConfig::small(seed)).unwrap())
+            .collect();
+        let be: Vec<&GeneratedPod> = workloads
             .iter()
+            .flat_map(|w| &w.pods)
             .filter(|p| p.spec.slo == SloClass::Be)
             .collect();
         assert!(!be.is_empty());

@@ -1,7 +1,5 @@
 //! Cluster-level configuration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::NodeId;
 use crate::node::NodeSpec;
 use crate::resources::Resources;
@@ -19,7 +17,7 @@ use crate::resources::Resources;
 /// let cluster = ClusterConfig::homogeneous(100);
 /// assert_eq!(cluster.nodes().count(), 100);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Number of physical hosts.
     pub node_count: usize,

@@ -8,8 +8,6 @@
 //! [`NodeLifecycle`] state machine; the `optum-chaos` crate generates
 //! such plans deterministically from a seed.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::NodeId;
 use crate::time::Tick;
 
@@ -20,7 +18,7 @@ use crate::time::Tick;
 /// its pods lose their progress; a maintenance drain
 /// ([`FaultKind::DrainStart`]) moves it to [`NodeLifecycle::Draining`]
 /// and evicts pods gracefully (progress kept).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum NodeLifecycle {
     /// Healthy and schedulable.
     #[default]
@@ -40,7 +38,7 @@ impl NodeLifecycle {
 }
 
 /// What happens to a node at a fault event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// The node fails abruptly: it goes [`NodeLifecycle::Down`] and
     /// every resident pod is killed (progress lost).
@@ -87,7 +85,7 @@ impl FaultKind {
 }
 
 /// One scheduled fault: at tick `at`, `kind` happens to `node`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// When the fault fires.
     pub at: Tick,

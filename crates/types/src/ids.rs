@@ -4,13 +4,11 @@
 //! keep the ids from being mixed up at compile time while staying
 //! `Copy`-cheap for use as map keys throughout the scheduler hot path.
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
         #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
+            Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord,
         )]
         pub struct $name(pub u32);
 

@@ -31,7 +31,7 @@ pub use ids::{AppId, NodeId, PodId};
 pub use node::NodeSpec;
 pub use pod::{DelayCause, Placement, PodPhase, PodSpec};
 pub use resources::{ResourceKind, Resources};
-pub use rng::SplitMix64;
+pub use rng::{SplitMix64, StdRng};
 pub use samples::{NodeSample, PodSample, PsiWindow};
 pub use shard::{ShardLayout, SLAB_NODES};
 pub use slo::SloClass;

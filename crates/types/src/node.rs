@@ -1,7 +1,5 @@
 //! Physical host descriptors.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::NodeId;
 use crate::resources::Resources;
 
@@ -9,7 +7,7 @@ use crate::resources::Resources;
 ///
 /// Capacities are normalized: the standard host has `(1.0, 1.0)`.
 /// Heterogeneous clusters can scale capacities per node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeSpec {
     /// Unique machine identifier.
     pub id: NodeId,

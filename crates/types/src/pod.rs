@@ -1,7 +1,5 @@
 //! Pod descriptors and lifecycle.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{AppId, NodeId, PodId};
 use crate::resources::Resources;
 use crate::slo::SloClass;
@@ -13,7 +11,7 @@ use crate::time::Tick;
 /// SLO class, resource request and limit, and submission time. Best-
 /// effort pods additionally carry their nominal (contention-free)
 /// duration; the simulator inflates it according to host contention.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PodSpec {
     /// Unique pod identifier.
     pub id: PodId,
@@ -40,7 +38,7 @@ impl PodSpec {
 }
 
 /// Lifecycle phase of a pod inside the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PodPhase {
     /// Submitted but not yet placed; accumulating waiting time.
     Pending,
@@ -57,7 +55,7 @@ pub enum PodPhase {
 /// Fig. 9(b) attributes scheduling delays to insufficient CPU,
 /// insufficient memory, both, or other causes (affinity, temporary
 /// storage, ...).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DelayCause {
     /// Both CPU and memory were insufficient on all candidates.
     CpuAndMemory,
@@ -86,7 +84,7 @@ impl DelayCause {
 }
 
 /// A placement decision: pod → node, made at a tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
     /// The placed pod.
     pub pod: PodId,

@@ -9,10 +9,8 @@
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// The resource dimensions tracked by the platform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceKind {
     /// Normalized CPU cores.
     Cpu,
@@ -41,7 +39,7 @@ impl ResourceKind {
 /// assert!(req.fits_within(&host_free));
 /// assert_eq!(req + req, Resources::new(0.06, 0.02));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Resources {
     /// Normalized CPU cores.
     pub cpu: f64,

@@ -4,8 +4,6 @@
 //! information" records: per-tick resource usage, PSI pressure metrics
 //! over three windows, and application-level QPS / response time.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{NodeId, PodId};
 use crate::resources::Resources;
 use crate::time::Tick;
@@ -15,7 +13,7 @@ use crate::time::Tick;
 ///
 /// Only the *some* variant applies to CPU; memory exposes both *some*
 /// and *full* (§3.3.2). Values are fractions of wall time in `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PsiWindow {
     /// Pressure over the trailing 10 seconds.
     pub avg10: f64,
@@ -71,7 +69,7 @@ impl PsiWindow {
 }
 
 /// One OS-level + application-level sample of a running pod.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PodSample {
     /// Sampled pod.
     pub pod: PodId,
@@ -97,7 +95,7 @@ pub struct PodSample {
 }
 
 /// One sample of a physical host's aggregate state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeSample {
     /// Sampled node.
     pub node: NodeId,

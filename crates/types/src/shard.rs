@@ -17,8 +17,6 @@
 //! another, so restore compares the stored layout against the
 //! configured one and fails loudly on mismatch.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::NodeId;
 
 /// Hosts per slab — the granularity of shard boundaries and of the
@@ -27,7 +25,7 @@ use crate::ids::NodeId;
 pub const SLAB_NODES: usize = 64;
 
 /// A contiguous, slab-aligned partition of `hosts` nodes into shards.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardLayout {
     /// Total hosts partitioned.
     pub hosts: usize,

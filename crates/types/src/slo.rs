@@ -12,10 +12,8 @@
 //! population mix but carry no explicit SLO; the characterization focuses
 //! on the first three, and so does the scheduler.
 
-use serde::{Deserialize, Serialize};
-
 /// SLO class of a pod, mirroring the trace's `SLO Type` field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SloClass {
     /// Best-effort batch tasks.
     Be,

@@ -6,8 +6,6 @@
 
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// Seconds per tick (the trace's OS-level sampling interval).
 pub const TICK_SECONDS: u64 = 30;
 /// Ticks per minute.
@@ -29,9 +27,7 @@ pub const TICKS_PER_DAY: u64 = 24 * TICKS_PER_HOUR;
 /// assert_eq!(t.0, TICKS_PER_DAY + 20);
 /// assert_eq!(t.as_seconds(), 86_400 + 600);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Tick(pub u64);
 
 impl Tick {

@@ -10,9 +10,7 @@
 //! ```
 
 use optum_platform::optum::deployment::{DeploymentModule, ProposedPlacement};
-use optum_platform::types::{NodeId, PodId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use optum_platform::types::{NodeId, PodId, StdRng};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(3);
